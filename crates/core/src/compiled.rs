@@ -87,7 +87,7 @@ pub enum TableKind {
 ///
 /// Immutable after construction, so one compiled system can be shared
 /// by reference across scoped worker threads — this is what lets
-/// [`crate::reach::sinks_matrix`] compile once for all worth-matrix
+/// [`crate::query::Query::matrix`] compile once for all worth-matrix
 /// rows.
 pub struct CompiledSystem<'s> {
     sys: &'s System,

@@ -175,7 +175,7 @@ pub fn strongly_depends_after(
 
 /// [`strongly_depends_after`] against a precomputed partition, so one
 /// Sat(φ) enumeration serves many histories (this is what
-/// [`crate::reach::depends_bounded`] iterates with).
+/// [`crate::query::Query::bounded`] iterates with).
 pub fn strongly_depends_after_with(
     sys: &System,
     partition: &SatPartition,

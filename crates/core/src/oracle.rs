@@ -357,7 +357,8 @@ impl<'s> Oracle<'s> {
         Ok((witness, stats, trace.counters))
     }
 
-    /// Decides `A ▷φ β` through this Oracle (see [`crate::reach::depends`]).
+    /// Decides `A ▷φ β` through this Oracle (the Def 2-11
+    /// search behind [`crate::query::Query::beta`]).
     pub fn depends(&self, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<Option<DependsWitness>> {
         Ok(self.depends_with_stats(phi, a, beta)?.0)
     }
@@ -399,8 +400,8 @@ impl<'s> Oracle<'s> {
         })
     }
 
-    /// Decides the set-target relation `A ▷φ B` (see
-    /// [`crate::reach::depends_set`]).
+    /// Decides the set-target relation `A ▷φ B` (Def 5-7; see
+    /// [`crate::query::Query::set`]).
     pub fn depends_set(&self, phi: &Phi, a: &ObjSet, b: &ObjSet) -> Result<Option<DependsWitness>> {
         if b.is_empty() {
             return Ok(None);
@@ -508,7 +509,7 @@ impl<'s> Oracle<'s> {
     }
 
     /// Bounded-history variant of [`Oracle::depends`] (see
-    /// [`crate::reach::depends_bounded`]): one interned partition is
+    /// [`crate::query::Query::bounded`]): one interned partition is
     /// shared across every enumerated history.
     pub fn depends_bounded(
         &self,

@@ -5,8 +5,7 @@
 //! single object β, a set B, or "all sinks"), and optional tuning
 //! (engine, compile budget, history-length bound, telemetry sink). It
 //! runs either one-shot ([`Query::run_on`] — builds a short-lived
-//! [`Oracle`] per call, exactly what the deprecated free functions in
-//! [`crate::reach`] used to do) or against a shared [`Oracle`]
+//! [`Oracle`] per call) or against a shared [`Oracle`]
 //! ([`Query::run`] — compile once, query many times). Both return a
 //! [`QueryOutcome`]: the answer, the search diagnostics, and a
 //! per-query [`QueryReport`] cost accounting.
@@ -199,10 +198,9 @@ impl Query {
     }
 
     /// Restricts the search to histories of length ≤ `max_len`
-    /// (brute-force enumeration; only valid for β targets). This is the
-    /// single bounded entry point — both the deprecated
-    /// `reach::depends_bounded` and [`Oracle::depends_bounded`] now
-    /// agree on it, with the bound as the trailing parameter.
+    /// (brute-force enumeration; only valid for β targets).
+    /// [`Oracle::depends_bounded`] takes the bound as its trailing
+    /// parameter to match.
     pub fn bounded(mut self, max_len: usize) -> Query {
         self.bound = Some(max_len);
         self

@@ -34,9 +34,7 @@
 //! ([`crate::query::Query::run_on`]) construct a short-lived
 //! [`crate::oracle::Oracle`] per call; hold an `Oracle` yourself and use
 //! [`crate::query::Query::run`] to amortise the compile and Sat(φ)
-//! enumeration across many queries. The free functions in this module
-//! ([`depends`], [`sinks`], …) are deprecated thin wrappers over the
-//! builder. Both engines report [`QueryEvent`]s (BFS levels, memo-row
+//! enumeration across many queries. Both engines report [`QueryEvent`]s (BFS levels, memo-row
 //! reuse, witnesses) to an attached [`crate::telemetry::Sink`].
 
 use std::collections::{HashMap, VecDeque};
@@ -45,16 +43,14 @@ use crate::bitset::BitSet;
 use crate::compiled::{
     par_map_chunks, CompileBudget, CompiledSystem, Engine, SparseMemo, TableKind, POISON,
 };
-use crate::constraint::Phi;
 use crate::depend::SatPartition;
 use crate::error::{Error, Result};
 use crate::fastmap::U64Set;
 use crate::history::{History, OpId};
-use crate::query::Query;
 use crate::state::State;
 use crate::system::System;
 use crate::telemetry::{QueryEvent, Trace};
-use crate::universe::{ObjId, ObjSet, Universe};
+use crate::universe::{ObjId, Universe};
 
 /// A witness that `A ▷φ β`: the history and initial state pair.
 #[derive(Debug, Clone)]
@@ -625,197 +621,14 @@ pub(crate) fn extractor(u: &Universe, obj: ObjId) -> (u64, u64) {
     (u.stride(obj) as u64, u.domain(obj).size() as u64)
 }
 
-/// Decides `A ▷φ β` (Def 2-11): is there *any* history over which β
-/// strongly depends on A given φ? Exact; returns a witness if so.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).beta(beta).run_on(sys)` instead"
-)]
-pub fn depends(sys: &System, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<Option<DependsWitness>> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .beta(beta)
-        .run_on(sys)?
-        .into_witness())
-}
-
-/// [`depends`] under an explicit engine and budget.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).beta(beta).engine(e).budget(b).run_on(sys)` instead"
-)]
-pub fn depends_with(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: ObjId,
-    engine: Engine,
-    budget: &CompileBudget,
-) -> Result<Option<DependsWitness>> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .beta(beta)
-        .engine(engine)
-        .budget(*budget)
-        .run_on(sys)?
-        .into_witness())
-}
-
-/// [`depends_with`], also returning search diagnostics.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).beta(beta).run_on(sys)`; the outcome carries stats and a report"
-)]
-pub fn depends_with_stats(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: ObjId,
-    engine: Engine,
-    budget: &CompileBudget,
-) -> Result<(Option<DependsWitness>, SearchStats)> {
-    let out = Query::new(phi.clone(), a.clone())
-        .beta(beta)
-        .engine(engine)
-        .budget(*budget)
-        .run_on(sys)?;
-    let stats = out.stats.expect("a β-target query always runs a search");
-    Ok((out.into_witness(), stats))
-}
-
-/// Decides the set-target relation `A ▷φ B` (Def 5-7): some history leads
-/// the pair to values differing at *every* object of B.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).set(b).run_on(sys)` instead"
-)]
-pub fn depends_set(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    b: &ObjSet,
-) -> Result<Option<DependsWitness>> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .set(b.clone())
-        .run_on(sys)?
-        .into_witness())
-}
-
-/// [`depends_set`] under an explicit engine and budget.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).set(b).engine(e).budget(b).run_on(sys)` instead"
-)]
-pub fn depends_set_with(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    b: &ObjSet,
-    engine: Engine,
-    budget: &CompileBudget,
-) -> Result<Option<DependsWitness>> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .set(b.clone())
-        .engine(engine)
-        .budget(*budget)
-        .run_on(sys)?
-        .into_witness())
-}
-
-/// All sinks of a source set: `{ β | A ▷φ β }` — one row of the §3.6 worth
-/// measure, computed with a single pair-BFS (exhaustive, except that the
-/// sweep stops early once every object is known to be a sink).
-#[deprecated(since = "0.2.0", note = "use `Query::new(phi, a).run_on(sys)` instead")]
-pub fn sinks(sys: &System, phi: &Phi, a: &ObjSet) -> Result<ObjSet> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .run_on(sys)?
-        .into_sinks()
-        .expect("a sinks query returns a sink set"))
-}
-
-/// [`sinks`] under an explicit engine and budget.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).engine(e).budget(b).run_on(sys)` instead"
-)]
-pub fn sinks_with(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    engine: Engine,
-    budget: &CompileBudget,
-) -> Result<ObjSet> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .engine(engine)
-        .budget(*budget)
-        .run_on(sys)?
-        .into_sinks()
-        .expect("a sinks query returns a sink set"))
-}
-
-/// One [`sinks`] row per source set, sharing a single Sat(φ) enumeration
-/// and a single compiled system across all rows; rows run in parallel on
-/// scoped threads. This is what the §3.6 worth matrix calls.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::matrix(phi, sources).run_on(sys)` instead"
-)]
-pub fn sinks_matrix(sys: &System, phi: &Phi, sources: &[ObjSet]) -> Result<Vec<ObjSet>> {
-    Ok(Query::matrix(phi.clone(), sources.to_vec())
-        .run_on(sys)?
-        .into_rows()
-        .expect("a matrix query returns rows"))
-}
-
-/// [`sinks_matrix`] under an explicit engine and budget.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::matrix(phi, sources).engine(e).budget(b).run_on(sys)` instead"
-)]
-pub fn sinks_matrix_with(
-    sys: &System,
-    phi: &Phi,
-    sources: &[ObjSet],
-    engine: Engine,
-    budget: &CompileBudget,
-) -> Result<Vec<ObjSet>> {
-    Ok(Query::matrix(phi.clone(), sources.to_vec())
-        .engine(engine)
-        .budget(*budget)
-        .run_on(sys)?
-        .into_rows()
-        .expect("a matrix query returns rows"))
-}
-
-/// Bounded variant of [`depends`]: only histories of length ≤ `max_len`.
-///
-/// Used by tests to cross-check the BFS against brute-force enumeration.
-/// One Sat(φ) partition is shared across all enumerated histories (the
-/// Oracle's interned enumeration). The bound is the trailing `usize`,
-/// matching [`crate::oracle::Oracle::depends_bounded`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Query::new(phi, a).beta(beta).bounded(max_len).run_on(sys)` instead"
-)]
-pub fn depends_bounded(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: ObjId,
-    max_len: usize,
-) -> Result<Option<DependsWitness>> {
-    Ok(Query::new(phi.clone(), a.clone())
-        .beta(beta)
-        .bounded(max_len)
-        .engine(Engine::Interpreted)
-        .run_on(sys)?
-        .into_witness())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::Phi;
     use crate::expr::Expr;
     use crate::op::{Cmd, Op};
-    use crate::universe::{Domain, Universe};
+    use crate::query::Query;
+    use crate::universe::{Domain, ObjSet, Universe};
 
     const ENGINES: [Engine; 4] = [
         Engine::Auto,

@@ -402,7 +402,7 @@ mod tests {
         assert!(stats.classes >= 1);
         assert_eq!(stats.searches, stats.classes);
         // Same extensional result as the pre-Oracle sequential path:
-        // one per-cylinder `reach::depends` call per class.
+        // one per-cylinder exact `depends` query per class.
         let n = sys.state_count().unwrap();
         let mut expected = StateSet::new(n);
         for class in crate::depend::classes(&sys, &Phi::True, &ObjSet::singleton(a)).unwrap() {

@@ -89,18 +89,6 @@ pub enum QueryEvent {
         /// Length of the witness history.
         length: u32,
     },
-    /// A serving-layer result cache answered a query without searching.
-    /// Emitted by caches built *on top of* the query machinery (e.g.
-    /// `sd-server`), never by the Oracle itself.
-    ResultCacheHit {
-        /// Canonical query fingerprint ([`crate::query::Query::fingerprint`]).
-        key: u64,
-    },
-    /// A serving-layer result cache missed and the query ran for real.
-    ResultCacheMiss {
-        /// Canonical query fingerprint ([`crate::query::Query::fingerprint`]).
-        key: u64,
-    },
     /// A [`crate::query::Query`] run finished; the final accounting.
     QueryDone {
         /// The per-query cost report.
@@ -221,14 +209,6 @@ impl QueryEvent {
             QueryEvent::Witness { length } => {
                 j.str_field("event", "witness")
                     .u64_field("length", u64::from(length));
-            }
-            QueryEvent::ResultCacheHit { key } => {
-                j.str_field("event", "result_cache_hit")
-                    .u64_field("key", key);
-            }
-            QueryEvent::ResultCacheMiss { key } => {
-                j.str_field("event", "result_cache_miss")
-                    .u64_field("key", key);
             }
             QueryEvent::QueryDone { report } => {
                 j.str_field("event", "query_done");

@@ -2,17 +2,13 @@
 //! observationally identical to the interpreted reference on valid
 //! systems — same verdicts, same (minimal-length) witnesses — across
 //! random systems and every example system from the paper.
-//!
-//! This suite deliberately drives the deprecated `reach::*` free
-//! functions: they are the sanctioned compatibility surface and must
-//! keep answering byte-identically until removed.
-#![allow(deprecated)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sd_core::reach::{self, DependsWitness};
+use sd_core::reach::DependsWitness;
 use sd_core::{
-    examples, Cmd, CompileBudget, Domain, Engine, Expr, ObjSet, Op, Phi, State, System, Universe,
+    examples, Cmd, CompileBudget, Domain, Engine, Expr, ObjId, ObjSet, Op, Phi, Query, State,
+    System, Universe,
 };
 
 const BUDGET: CompileBudget = CompileBudget {
@@ -69,19 +65,45 @@ fn random_phi(sys: &System, rng: &mut StdRng) -> Phi {
     }
 }
 
+/// `q` under `engine` and the suite's budget, run one-shot on `sys`.
+fn run(q: Query, engine: Engine, sys: &System) -> sd_core::QueryOutcome {
+    q.engine(engine).budget(BUDGET).run_on(sys).unwrap()
+}
+
+fn depends(
+    sys: &System,
+    phi: &Phi,
+    a: &ObjSet,
+    beta: ObjId,
+    engine: Engine,
+) -> Option<DependsWitness> {
+    run(Query::new(phi.clone(), a.clone()).beta(beta), engine, sys).into_witness()
+}
+
+fn depends_set(
+    sys: &System,
+    phi: &Phi,
+    a: &ObjSet,
+    b: &ObjSet,
+    engine: Engine,
+) -> Option<DependsWitness> {
+    let q = Query::new(phi.clone(), a.clone()).set(b.clone());
+    run(q, engine, sys).into_witness()
+}
+
+fn sinks(sys: &System, phi: &Phi, a: &ObjSet, engine: Engine) -> ObjSet {
+    run(Query::new(phi.clone(), a.clone()), engine, sys)
+        .into_sinks()
+        .unwrap()
+}
+
 fn witness_fields(w: Option<DependsWitness>) -> Option<(usize, State, State)> {
     w.map(|w| (w.history.len(), w.sigma1, w.sigma2))
 }
 
 /// Replays a witness: both states satisfy φ, differ only at A, and the
 /// history drives them to different β values.
-fn assert_witness_valid(
-    sys: &System,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: sd_core::ObjId,
-    w: &DependsWitness,
-) {
+fn assert_witness_valid(sys: &System, phi: &Phi, a: &ObjSet, beta: ObjId, w: &DependsWitness) {
     assert!(phi.holds(sys, &w.sigma1).unwrap());
     assert!(phi.holds(sys, &w.sigma2).unwrap());
     assert!(w.sigma1.eq_except(&w.sigma2, a));
@@ -97,14 +119,13 @@ fn check_configuration(sys: &System, phi: &Phi, a: &ObjSet) {
     let u = sys.universe();
     let objects: Vec<_> = u.objects().collect();
     for &beta in &objects {
-        let reference =
-            reach::depends_with(sys, phi, a, beta, Engine::Interpreted, &BUDGET).unwrap();
+        let reference = depends(sys, phi, a, beta, Engine::Interpreted);
         if let Some(w) = &reference {
             assert_witness_valid(sys, phi, a, beta, w);
         }
         let reference = witness_fields(reference);
         for engine in COMPILED {
-            let got = reach::depends_with(sys, phi, a, beta, engine, &BUDGET).unwrap();
+            let got = depends(sys, phi, a, beta, engine);
             if let Some(w) = &got {
                 assert_witness_valid(sys, phi, a, beta, w);
             }
@@ -117,18 +138,15 @@ fn check_configuration(sys: &System, phi: &Phi, a: &ObjSet) {
     }
     // Set target: the first two objects simultaneously.
     let b: ObjSet = objects.iter().take(2).copied().collect();
-    let reference = witness_fields(
-        reach::depends_set_with(sys, phi, a, &b, Engine::Interpreted, &BUDGET).unwrap(),
-    );
+    let reference = witness_fields(depends_set(sys, phi, a, &b, Engine::Interpreted));
     for engine in COMPILED {
-        let got =
-            witness_fields(reach::depends_set_with(sys, phi, a, &b, engine, &BUDGET).unwrap());
+        let got = witness_fields(depends_set(sys, phi, a, &b, engine));
         assert_eq!(got, reference, "depends_set mismatch: {engine:?}");
     }
     // Sinks row.
-    let reference = reach::sinks_with(sys, phi, a, Engine::Interpreted, &BUDGET).unwrap();
+    let reference = sinks(sys, phi, a, Engine::Interpreted);
     for engine in COMPILED {
-        let got = reach::sinks_with(sys, phi, a, engine, &BUDGET).unwrap();
+        let got = sinks(sys, phi, a, engine);
         assert_eq!(got, reference, "sinks mismatch: {engine:?}");
     }
 }
@@ -167,8 +185,10 @@ fn exact_search_agrees_with_bounded_enumeration() {
         let phi = random_phi(&sys, &mut rng);
         let a = ObjSet::singleton(ids[rng.gen_range(0..ids.len())]);
         for &beta in &ids {
-            let exact = reach::depends(&sys, &phi, &a, beta).unwrap();
-            let bounded = reach::depends_bounded(&sys, &phi, &a, beta, BOUND).unwrap();
+            let q = Query::new(phi.clone(), a.clone()).beta(beta);
+            let exact = q.clone().run_on(&sys).unwrap().into_witness();
+            let bounded = q.bounded(BOUND).engine(Engine::Interpreted).run_on(&sys);
+            let bounded = bounded.unwrap().into_witness();
             match (&exact, &bounded) {
                 (None, None) => {}
                 (None, Some(w)) => panic!(
@@ -222,11 +242,11 @@ fn engines_agree_on_paper_examples() {
         }
         // The batched matrix agrees with interpreted row-by-row sinks.
         for engine in COMPILED {
-            let rows =
-                reach::sinks_matrix_with(sys, &Phi::True, &sources, engine, &BUDGET).unwrap();
+            let rows = run(Query::matrix(Phi::True, sources.clone()), engine, sys)
+                .into_rows()
+                .unwrap();
             for (a, row) in sources.iter().zip(&rows) {
-                let reference =
-                    reach::sinks_with(sys, &Phi::True, a, Engine::Interpreted, &BUDGET).unwrap();
+                let reference = sinks(sys, &Phi::True, a, Engine::Interpreted);
                 assert_eq!(*row, reference, "sinks_matrix row mismatch for {a:?}");
             }
         }

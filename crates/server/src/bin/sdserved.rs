@@ -9,12 +9,13 @@
 //!
 //! Runs until a client sends `shutdown`. `--access-log -` writes the
 //! JSON-lines access log to stderr; `--telemetry` streams query
-//! telemetry events (compiles, cache hits/misses, per-query reports)
+//! telemetry events (compiles, Sat(φ) partition hits/misses, per-query
+//! reports)
 //! to stderr as JSON lines. Requests slower than `--slow-ms`
 //! (default 100) are captured in the in-memory slow-query ring
 //! (`slowlog` method; `--slowlog-cap` entries) and appended to the
 //! access log stream when one is configured. `--no-metrics` disables
-//! all metric recording (the A/B baseline for overhead measurements).
+//! all metric recording.
 
 use std::io::Write;
 use std::process::ExitCode;

@@ -16,8 +16,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Hit/miss/eviction counters, surfaced through `stats` responses and
-/// the telemetry sink.
+/// Hit/miss/eviction counters — the only count of result-cache traffic,
+/// surfaced through the `metrics` scrape (`cache.*`, `sd_cache_*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.

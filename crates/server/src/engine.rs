@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use sd_core::{Error, ObjSet, Phi, Query, QueryEvent, QueryReport, Sink};
+use sd_core::{Error, ObjSet, Phi, Query, QueryReport};
 use sd_lang::lower_phi;
 
 use crate::cache::ResultCache;
@@ -123,7 +123,6 @@ fn build_query(
 pub fn execute_query(
     entry: &SystemEntry,
     cache: &ResultCache,
-    sink: Option<&Arc<dyn Sink>>,
     req: &QueryReq,
     max_timeout: Duration,
     trace: &mut RequestTrace,
@@ -133,18 +132,12 @@ pub fn execute_query(
     if let Some(fp) = fingerprint {
         let key = (u128::from(entry.key) << 64) | u128::from(fp);
         if let Some(answer) = trace.time(Phase::Cache, || cache.get(key)) {
-            if let Some(s) = sink {
-                s.record(&QueryEvent::ResultCacheHit { key: fp });
-            }
             return Ok(ExecOutcome {
                 answer,
                 cached: true,
                 fingerprint,
                 report: None,
             });
-        }
-        if let Some(s) = sink {
-            s.record(&QueryEvent::ResultCacheMiss { key: fp });
         }
     }
     let outcome = trace
@@ -188,7 +181,7 @@ mod tests {
         req: &QueryReq,
     ) -> Result<ExecOutcome, WireError> {
         let mut trace = RequestTrace::start();
-        execute_query(entry, cache, None, req, Duration::from_secs(5), &mut trace)
+        execute_query(entry, cache, req, Duration::from_secs(5), &mut trace)
     }
 
     fn depends_req(entry: &SystemEntry, phi: &str) -> QueryReq {
@@ -203,15 +196,7 @@ mod tests {
         let cache = ResultCache::new(8);
         let req = depends_req(&entry, "m");
         let mut trace = RequestTrace::start();
-        let cold = execute_query(
-            &entry,
-            &cache,
-            None,
-            &req,
-            Duration::from_secs(5),
-            &mut trace,
-        )
-        .unwrap();
+        let cold = execute_query(&entry, &cache, &req, Duration::from_secs(5), &mut trace).unwrap();
         assert!(trace.phase_ns(Phase::Search) > 0, "search phase timed");
         let warm = run(&entry, &cache, &req).unwrap();
         assert!(!cold.cached);

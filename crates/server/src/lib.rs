@@ -24,13 +24,13 @@
 //!   fingerprint, cache, run, serialise);
 //! - [`metrics`] — server observability: per-method/per-outcome request
 //!   counters, cold/warm latency histograms, six-phase request traces,
-//!   rolled-up query-cost counters, the slow-query ring, and the
-//!   Prometheus/JSON scrape renderers;
+//!   rolled-up query-cost counters, the slow-query ring, and one
+//!   family table rendered as both the JSON and the Prometheus scrape;
 //! - [`server`] — the TCP daemon: bounded admission queue, fixed worker
 //!   pool, per-request deadlines/budgets, graceful draining shutdown,
 //!   JSON-lines access log;
 //! - [`client`] — a blocking client library (used by `sdcheck client`
-//!   and the load-generator bench).
+//!   and the `sdbench` load generator).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,5 +53,5 @@ pub use crate::proto::{
     ErrorKind, Frame, QueryKind, QueryReq, Request, ResponseFrame, SystemDesc, WireError, MAX_FRAME,
 };
 pub use crate::registry::{Registry, SystemEntry};
-pub use crate::server::{Config, ServeHandle, ServerStats};
+pub use crate::server::{Config, ServeHandle};
 pub use crate::wire::Json;

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime};
 
-use sd_core::{Counter, Histogram, JsonBuf, QueryEvent, QueryReport, Sink};
+use sd_core::{Counter, Histogram, HistogramSnapshot, JsonBuf, QueryEvent, QueryReport, Sink};
 
 use crate::cache::CacheStats;
 use crate::proto::ErrorKind;
@@ -50,8 +50,6 @@ pub enum Method {
     Sinks,
     /// `sinks_matrix`.
     SinksMatrix,
-    /// `stats`.
-    Stats,
     /// `metrics`.
     Metrics,
     /// `slowlog`.
@@ -64,7 +62,7 @@ pub enum Method {
 }
 
 /// Number of [`Method`] variants.
-pub const METHODS: usize = 10;
+pub const METHODS: usize = 9;
 
 impl Method {
     /// Every method, in index order.
@@ -74,7 +72,6 @@ impl Method {
         Method::Depends,
         Method::Sinks,
         Method::SinksMatrix,
-        Method::Stats,
         Method::Metrics,
         Method::SlowLog,
         Method::Shutdown,
@@ -89,7 +86,6 @@ impl Method {
             Method::Depends => "depends",
             Method::Sinks => "sinks",
             Method::SinksMatrix => "sinks_matrix",
-            Method::Stats => "stats",
             Method::Metrics => "metrics",
             Method::SlowLog => "slowlog",
             Method::Shutdown => "shutdown",
@@ -107,46 +103,21 @@ impl Method {
     }
 
     fn idx(self) -> usize {
-        Method::ALL.iter().position(|m| *m == self).unwrap_or(0)
+        self as usize
     }
 }
 
-/// Request outcome label values: `"ok"` plus every [`ErrorKind`].
-pub const OUTCOMES: [&str; 12] = [
-    "ok",
-    "parse",
-    "protocol",
-    "too_large",
-    "unknown_method",
-    "unknown_system",
-    "invalid",
-    "timeout",
-    "budget",
-    "overloaded",
-    "shutting_down",
-    "internal",
-];
+/// Number of request outcomes: `ok` plus every [`ErrorKind`].
+const OUTCOMES: usize = ErrorKind::ALL.len() + 1;
 
+/// Outcome index: 0 is `ok`, then [`ErrorKind::ALL`] order.
 fn outcome_idx(outcome: Option<ErrorKind>) -> usize {
-    match outcome {
-        None => 0,
-        Some(ErrorKind::Parse) => 1,
-        Some(ErrorKind::Protocol) => 2,
-        Some(ErrorKind::TooLarge) => 3,
-        Some(ErrorKind::UnknownMethod) => 4,
-        Some(ErrorKind::UnknownSystem) => 5,
-        Some(ErrorKind::Invalid) => 6,
-        Some(ErrorKind::Timeout) => 7,
-        Some(ErrorKind::Budget) => 8,
-        Some(ErrorKind::Overloaded) => 9,
-        Some(ErrorKind::ShuttingDown) => 10,
-        Some(ErrorKind::Internal) => 11,
-    }
+    outcome.map_or(0, |k| k as usize + 1)
 }
 
-/// The label for an outcome.
+/// The label for an outcome: `"ok"` or the error kind's wire name.
 pub fn outcome_str(outcome: Option<ErrorKind>) -> &'static str {
-    OUTCOMES[outcome_idx(outcome)]
+    outcome.map_or("ok", ErrorKind::as_str)
 }
 
 /// The six request phases a [`RequestTrace`] times, in pipeline order.
@@ -193,14 +164,7 @@ impl Phase {
     }
 
     fn idx(self) -> usize {
-        match self {
-            Phase::Parse => 0,
-            Phase::Cache => 1,
-            Phase::Compile => 2,
-            Phase::Search => 3,
-            Phase::Serialize => 4,
-            Phase::Write => 5,
-        }
+        self as usize
     }
 }
 
@@ -409,15 +373,16 @@ fn engine_idx(engine: &str) -> usize {
 
 /// The server's metric families. One instance per server, shared by
 /// every connection/worker thread; all recording is lock-free. When
-/// constructed disabled (`--no-metrics`, the A/B bench baseline) every
-/// recording call returns immediately.
+/// constructed disabled (`--no-metrics`) every recording call returns
+/// immediately.
 pub struct ServerMetrics {
     enabled: bool,
     started: Instant,
     slow_ns: u64,
     /// requests_total[method][outcome].
     requests: Vec<Vec<Counter>>,
-    /// duration histograms\[method\]\[cold as usize\] (ok requests only).
+    /// duration histograms\[method\]\[0 = cold, 1 = warm\] (ok requests
+    /// only).
     durations: Vec<[Histogram; 2]>,
     /// phase_ns_total[method][phase].
     phases: Vec<Vec<Counter>>,
@@ -429,7 +394,8 @@ pub struct ServerMetrics {
     rows_materialized: Vec<Counter>,
     /// Searches per engine kind.
     engine_runs: Vec<Counter>,
-    // Oracle-side rollups fed by the telemetry sink.
+    // Oracle-side rollups fed by the telemetry sink. The memo-row
+    // counters include searches that failed, which report no costs.
     partition_hits: Counter,
     partition_misses: Counter,
     memo_rows_reused: Counter,
@@ -451,7 +417,7 @@ impl ServerMetrics {
             enabled,
             started: Instant::now(),
             slow_ns: slow_ms.saturating_mul(1_000_000),
-            requests: (0..METHODS).map(|_| counters(OUTCOMES.len())).collect(),
+            requests: (0..METHODS).map(|_| counters(OUTCOMES)).collect(),
             durations: (0..METHODS)
                 .map(|_| [Histogram::new(), Histogram::new()])
                 .collect(),
@@ -473,16 +439,6 @@ impl ServerMetrics {
         }
     }
 
-    /// Whether recording is live.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Seconds since the server started.
-    pub fn uptime_s(&self) -> u64 {
-        self.started.elapsed().as_secs()
-    }
-
     /// Records one access-log line dropped (writer contended or
     /// errored).
     pub fn access_log_dropped(&self, n: u64) {
@@ -500,7 +456,7 @@ impl ServerMetrics {
         let total_ns = trace.total_ns();
         self.requests[m][outcome_idx(obs.outcome)].inc();
         if obs.outcome.is_none() {
-            self.durations[m][usize::from(obs.cold)].record(total_ns);
+            self.durations[m][usize::from(!obs.cold)].record(total_ns);
         }
         for p in Phase::ALL {
             let ns = trace.phase_ns(p);
@@ -543,10 +499,9 @@ impl ServerMetrics {
         self.slow.tail(limit)
     }
 
-    /// Duration snapshot for `(method, cold)` — the bench reads server-
-    /// side percentiles through this.
-    pub fn duration_snapshot(&self, method: Method, cold: bool) -> sd_core::HistogramSnapshot {
-        self.durations[method.idx()][usize::from(cold)].snapshot()
+    /// Duration snapshot for `(method, cold)`.
+    pub fn duration_snapshot(&self, method: Method, cold: bool) -> HistogramSnapshot {
+        self.durations[method.idx()][usize::from(!cold)].snapshot()
     }
 
     /// requests_total for `(method, outcome)`.
@@ -554,371 +509,142 @@ impl ServerMetrics {
         self.requests[method.idx()][outcome_idx(outcome)].get()
     }
 
-    /// Writes the metric families as JSON fields into an open object.
-    /// `g` carries the scrape-time gauges the metrics registry does not
-    /// own (queue depth, cache/registry state, …).
-    pub fn json_fields(&self, g: &ScrapeGauges, j: &mut JsonBuf) {
-        j.bool_field("enabled", self.enabled)
-            .u64_field("uptime_s", self.uptime_s())
-            .u64_field("slow_ms", self.slow_ns / 1_000_000);
-        j.begin_obj_field("gauges")
-            .u64_field("connections_total", g.connections_total)
-            .u64_field("connections_open", g.connections_open)
-            .u64_field("inflight", g.inflight)
-            .u64_field("queue_depth", g.queue_depth)
-            .u64_field("workers", g.workers)
-            .u64_field("workers_busy", g.inflight)
-            .end_obj();
-        j.begin_obj_field("requests");
-        for m in Method::ALL {
-            let any = (0..OUTCOMES.len()).any(|o| self.requests[m.idx()][o].get() != 0);
-            if !any {
-                continue;
+    /// Calls `f` with every sample of `fam`, label indices outermost
+    /// first. Labelled samples that are zero (or empty histograms) are
+    /// skipped; unlabelled families always report.
+    fn samples(&self, fam: &Family, g: &ScrapeGauges, mut f: impl FnMut(&[usize], Value)) {
+        let mut idx = vec![0; fam.dims.len()];
+        loop {
+            let v = (fam.read)(self, g, &idx);
+            let empty = match &v {
+                Value::Num(n) => *n == 0,
+                Value::Hist(s) => s.count == 0,
+            };
+            if idx.is_empty() || !empty {
+                f(&idx, v);
             }
-            j.begin_obj_field(m.as_str());
-            for (o, label) in OUTCOMES.iter().enumerate() {
-                let n = self.requests[m.idx()][o].get();
-                if n != 0 {
-                    j.u64_field(label, n);
-                }
-            }
-            j.end_obj();
+            // Advance the index tuple like an odometer, last label fastest.
+            let Some(d) = (0..idx.len())
+                .rev()
+                .find(|&d| idx[d] + 1 < fam.dims[d].len())
+            else {
+                return;
+            };
+            idx[d] += 1;
+            idx[d + 1..].fill(0);
         }
-        j.end_obj();
-        j.begin_obj_field("durations");
-        for m in Method::ALL {
-            let snaps = [
-                self.durations[m.idx()][1].snapshot(),
-                self.durations[m.idx()][0].snapshot(),
-            ];
-            if snaps.iter().all(|s| s.count == 0) {
-                continue;
-            }
-            j.begin_obj_field(m.as_str());
-            for (label, snap) in ["cold", "warm"].iter().zip(&snaps) {
-                if snap.count == 0 {
-                    continue;
-                }
-                j.begin_obj_field(label)
-                    .u64_field("count", snap.count)
-                    .u64_field("sum_ns", snap.sum)
-                    .u64_field("p50_ns", snap.quantile(50, 100))
-                    .u64_field("p90_ns", snap.quantile(90, 100))
-                    .u64_field("p95_ns", snap.quantile(95, 100))
-                    .u64_field("p99_ns", snap.quantile(99, 100));
-                j.begin_arr_field("buckets");
-                for (upper, n) in &snap.buckets {
-                    j.begin_arr_elem().u64_elem(*upper).u64_elem(*n).end_arr();
-                }
-                j.end_arr();
-                j.end_obj();
-            }
-            j.end_obj();
-        }
-        j.end_obj();
-        j.begin_obj_field("phase_ns");
-        for m in Method::ALL {
-            let any = (0..PHASES).any(|p| self.phases[m.idx()][p].get() != 0);
-            if !any {
-                continue;
-            }
-            j.begin_obj_field(m.as_str());
-            for p in Phase::ALL {
-                j.u64_field(p.as_str(), self.phases[m.idx()][p.idx()].get());
-            }
-            j.end_obj();
-        }
-        j.end_obj();
-        j.begin_obj_field("costs");
-        for m in Method::ALL {
-            let i = m.idx();
-            if self.pair_expansions[i].get() == 0 && self.visited_pairs[i].get() == 0 {
-                continue;
-            }
-            j.begin_obj_field(m.as_str())
-                .u64_field("pair_expansions", self.pair_expansions[i].get())
-                .u64_field("visited_pairs", self.visited_pairs[i].get())
-                .u64_field("bfs_levels", self.bfs_levels[i].get())
-                .u64_field("rows_reused", self.rows_reused[i].get())
-                .u64_field("rows_materialized", self.rows_materialized[i].get())
-                .end_obj();
-        }
-        j.end_obj();
-        j.begin_obj_field("engines");
-        for (i, label) in ENGINES.iter().enumerate() {
-            let n = self.engine_runs[i].get();
-            if n != 0 {
-                j.u64_field(label, n);
-            }
-        }
-        j.end_obj();
-        j.begin_obj_field("oracle")
-            .u64_field("partition_hits", self.partition_hits.get())
-            .u64_field("partition_misses", self.partition_misses.get())
-            .u64_field("memo_rows_reused", self.memo_rows_reused.get())
-            .u64_field("memo_rows_materialized", self.memo_rows_materialized.get())
-            .u64_field("compiles", self.compiles.get())
-            .u64_field("compile_ns", self.compile_ns.get())
-            .end_obj();
-        j.begin_obj_field("cache")
-            .u64_field("hits", g.cache.hits)
-            .u64_field("misses", g.cache.misses)
-            .u64_field("insertions", g.cache.insertions)
-            .u64_field("evictions", g.cache.evictions)
-            .u64_field("entries", g.cache.entries)
-            .u64_field("capacity", g.cache.capacity)
-            .end_obj();
-        j.begin_obj_field("registry")
-            .u64_field("systems", g.registry_systems)
-            .u64_field("capacity", g.registry_cap)
-            .end_obj();
-        j.u64_field("access_log_dropped", self.access_dropped.get());
-        j.begin_obj_field("slowlog")
-            .u64_field("captured", self.slow.captured.get())
-            .u64_field("capacity", self.slow.cap as u64)
-            .end_obj();
     }
 
-    /// Renders the Prometheus text exposition (counter/gauge/histogram
-    /// families; histograms with cumulative `le` buckets over the
-    /// non-empty buckets plus `+Inf`, and derived p50/p90/p99 gauges).
-    pub fn render_prom(&self, g: &ScrapeGauges) -> String {
-        let mut out = String::with_capacity(4096);
-        let _ = writeln!(
-            out,
-            "# HELP sd_requests_total Requests handled, by method and outcome.\n\
-             # TYPE sd_requests_total counter"
-        );
-        for m in Method::ALL {
-            for (o, label) in OUTCOMES.iter().enumerate() {
-                let n = self.requests[m.idx()][o].get();
-                if n != 0 {
-                    let _ = writeln!(
-                        out,
-                        "sd_requests_total{{method=\"{}\",outcome=\"{label}\"}} {n}",
-                        m.as_str()
-                    );
+    /// Writes every family into an open JSON object. A sample sits at
+    /// its family's JSON path extended by its label keys; a histogram
+    /// sample is an object of `count`, `sum_ns` and `buckets`
+    /// (`[upper, n]` pairs). The registered systems are listed at
+    /// `registry.list`. Keys are in sorted order.
+    pub fn json(&self, g: &ScrapeGauges, j: &mut JsonBuf) {
+        let mut leaves: Vec<(Vec<&'static str>, String)> = Vec::new();
+        for fam in FAMILIES {
+            self.samples(fam, g, |idx, v| {
+                let mut path: Vec<&'static str> = fam.json.split('.').collect();
+                path.extend(fam.dims.iter().zip(idx).map(|(d, &i)| d.key(i)));
+                match v {
+                    Value::Num(n) => leaves.push((path, n.to_string())),
+                    Value::Hist(s) => {
+                        let buckets: Vec<String> = s
+                            .buckets
+                            .iter()
+                            .map(|(u, n)| format!("[{u},{n}]"))
+                            .collect();
+                        for (key, raw) in [
+                            ("count", s.count.to_string()),
+                            ("sum_ns", s.sum.to_string()),
+                            ("buckets", format!("[{}]", buckets.join(","))),
+                        ] {
+                            leaves.push(([&path[..], &[key]].concat(), raw));
+                        }
+                    }
                 }
+            });
+        }
+        let mut list = JsonBuf::new();
+        list.begin_arr_elem();
+        for (key, desc) in &g.systems {
+            list.begin_obj()
+                .u64_field("system", *key)
+                .str_field("desc", desc)
+                .end_obj();
+        }
+        list.end_arr();
+        leaves.push((vec!["registry", "list"], list.finish()));
+        leaves.sort();
+        // Stream the sorted leaves, closing and opening objects where the
+        // path prefix changes.
+        let mut open: Vec<&str> = Vec::new();
+        for (path, raw) in &leaves {
+            let (leaf, dirs) = path.split_last().expect("non-empty JSON path");
+            let keep = open.iter().zip(dirs).take_while(|(a, b)| a == b).count();
+            for _ in keep..open.len() {
+                j.end_obj();
             }
-        }
-        let _ = writeln!(
-            out,
-            "# HELP sd_request_duration_ns Request wall time, successful requests only.\n\
-             # TYPE sd_request_duration_ns histogram"
-        );
-        let mut quantile_lines = String::new();
-        for m in Method::ALL {
-            for (cold, label) in [(1usize, "true"), (0, "false")] {
-                let snap = self.durations[m.idx()][cold].snapshot();
-                if snap.count == 0 {
-                    continue;
-                }
-                let labels = format!("method=\"{}\",cold=\"{label}\"", m.as_str());
-                let mut cum = 0u64;
-                for (upper, n) in &snap.buckets {
-                    cum += n;
-                    let _ = writeln!(
-                        out,
-                        "sd_request_duration_ns_bucket{{{labels},le=\"{upper}\"}} {cum}"
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "sd_request_duration_ns_bucket{{{labels},le=\"+Inf\"}} {}",
-                    cum
-                );
-                let _ = writeln!(out, "sd_request_duration_ns_sum{{{labels}}} {}", snap.sum);
-                let _ = writeln!(
-                    out,
-                    "sd_request_duration_ns_count{{{labels}}} {}",
-                    snap.count
-                );
-                for (q, num) in [("0.5", 50u64), ("0.9", 90), ("0.99", 99)] {
-                    let _ = writeln!(
-                        quantile_lines,
-                        "sd_request_duration_quantile_ns{{{labels},quantile=\"{q}\"}} {}",
-                        snap.quantile(num, 100)
-                    );
-                }
+            open.truncate(keep);
+            for dir in &dirs[keep..] {
+                j.begin_obj_field(dir);
+                open.push(dir);
             }
+            j.raw_field(leaf, raw);
         }
-        let _ = writeln!(
-            out,
-            "# HELP sd_request_duration_quantile_ns Derived latency quantiles (p50/p90/p99).\n\
-             # TYPE sd_request_duration_quantile_ns gauge"
-        );
-        out.push_str(&quantile_lines);
-        let _ = writeln!(
-            out,
-            "# HELP sd_request_phase_ns_total Cumulative per-phase request time.\n\
-             # TYPE sd_request_phase_ns_total counter"
-        );
-        for m in Method::ALL {
-            for p in Phase::ALL {
-                let n = self.phases[m.idx()][p.idx()].get();
-                if n != 0 {
-                    let _ = writeln!(
-                        out,
-                        "sd_request_phase_ns_total{{method=\"{}\",phase=\"{}\"}} {n}",
-                        m.as_str(),
-                        p.as_str()
-                    );
+        for _ in open {
+            j.end_obj();
+        }
+    }
+
+    /// Renders every family as a Prometheus text exposition. Histograms
+    /// expose cumulative `le` buckets over their non-empty buckets plus
+    /// `+Inf`, then `_sum` and `_count`.
+    pub fn prometheus(&self, g: &ScrapeGauges) -> String {
+        let mut out = String::with_capacity(8192);
+        for fam in FAMILIES {
+            let (name, kind) = (fam.name, fam.kind.as_str());
+            let _ = writeln!(out, "# HELP {name} {}\n# TYPE {name} {kind}", fam.help);
+            self.samples(fam, g, |idx, v| {
+                let labels: Vec<String> = fam
+                    .dims
+                    .iter()
+                    .zip(idx)
+                    .map(|(d, &i)| format!("{}=\"{}\"", d.name(), d.prom(i)))
+                    .collect();
+                let braced = |extra: Option<String>| {
+                    let all: Vec<String> = labels.iter().cloned().chain(extra).collect();
+                    if all.is_empty() {
+                        String::new()
+                    } else {
+                        format!("{{{}}}", all.join(","))
+                    }
+                };
+                match v {
+                    Value::Num(n) => {
+                        let _ = writeln!(out, "{name}{} {n}", braced(None));
+                    }
+                    Value::Hist(s) => {
+                        let mut cum = 0;
+                        let bounds = s.buckets.iter().map(|(u, n)| (u.to_string(), *n));
+                        for (le, n) in bounds.chain([("+Inf".to_string(), 0)]) {
+                            cum += n;
+                            let labels = braced(Some(format!("le=\"{le}\"")));
+                            let _ = writeln!(out, "{name}_bucket{labels} {cum}");
+                        }
+                        let _ = writeln!(out, "{name}_sum{} {}", braced(None), s.sum);
+                        let _ = writeln!(out, "{name}_count{} {}", braced(None), s.count);
+                    }
                 }
-            }
-        }
-        for (family, help, values) in [
-            (
-                "sd_pair_expansions_total",
-                "Pair expansions attempted by served searches.",
-                &self.pair_expansions,
-            ),
-            (
-                "sd_visited_pairs_total",
-                "Distinct canonical state pairs discovered by served searches.",
-                &self.visited_pairs,
-            ),
-            (
-                "sd_bfs_levels_total",
-                "BFS levels expanded by served searches.",
-                &self.bfs_levels,
-            ),
-            (
-                "sd_memo_rows_reused_total",
-                "Sparse successor rows served from the memo, per method.",
-                &self.rows_reused,
-            ),
-            (
-                "sd_memo_rows_materialized_total",
-                "Sparse successor rows interpreted, per method.",
-                &self.rows_materialized,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {family} {help}\n# TYPE {family} counter");
-            for m in Method::ALL {
-                let n = values[m.idx()].get();
-                if n != 0 {
-                    let _ = writeln!(out, "{family}{{method=\"{}\"}} {n}", m.as_str());
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "# HELP sd_engine_runs_total Searches run, by engine kind.\n\
-             # TYPE sd_engine_runs_total counter"
-        );
-        for (i, label) in ENGINES.iter().enumerate() {
-            let n = self.engine_runs[i].get();
-            if n != 0 {
-                let _ = writeln!(out, "sd_engine_runs_total{{engine=\"{label}\"}} {n}");
-            }
-        }
-        for (name, help, v) in [
-            (
-                "sd_partition_hits_total",
-                "Sat(phi) enumerations served from the Oracle intern cache.",
-                self.partition_hits.get(),
-            ),
-            (
-                "sd_partition_misses_total",
-                "Sat(phi) enumerations computed fresh.",
-                self.partition_misses.get(),
-            ),
-            (
-                "sd_compiles_total",
-                "Successor-table compiles.",
-                self.compiles.get(),
-            ),
-            (
-                "sd_compile_ns_total",
-                "Nanoseconds spent compiling successor tables.",
-                self.compile_ns.get(),
-            ),
-            ("sd_cache_hits_total", "Result-cache hits.", g.cache.hits),
-            (
-                "sd_cache_misses_total",
-                "Result-cache misses.",
-                g.cache.misses,
-            ),
-            (
-                "sd_cache_insertions_total",
-                "Result-cache insertions.",
-                g.cache.insertions,
-            ),
-            (
-                "sd_cache_evictions_total",
-                "Result-cache evictions.",
-                g.cache.evictions,
-            ),
-            (
-                "sd_connections_total",
-                "TCP connections accepted.",
-                g.connections_total,
-            ),
-            (
-                "sd_access_log_dropped_total",
-                "Access-log lines dropped instead of blocking requests.",
-                self.access_dropped.get(),
-            ),
-            (
-                "sd_slow_queries_total",
-                "Requests slower than the slow-query threshold.",
-                self.slow.captured.get(),
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, help, v) in [
-            ("sd_uptime_seconds", "Seconds since start.", self.uptime_s()),
-            (
-                "sd_connections_open",
-                "Currently open connections.",
-                g.connections_open,
-            ),
-            (
-                "sd_inflight_queries",
-                "Queries executing in the worker pool.",
-                g.inflight,
-            ),
-            (
-                "sd_queue_depth",
-                "Jobs waiting in the admission queue.",
-                g.queue_depth,
-            ),
-            ("sd_workers", "Worker pool size.", g.workers),
-            (
-                "sd_workers_busy",
-                "Workers currently executing a query.",
-                g.inflight,
-            ),
-            ("sd_cache_entries", "Result-cache entries.", g.cache.entries),
-            (
-                "sd_cache_capacity",
-                "Result-cache capacity.",
-                g.cache.capacity,
-            ),
-            (
-                "sd_registry_systems",
-                "Registered systems.",
-                g.registry_systems,
-            ),
-            ("sd_registry_capacity", "Registry capacity.", g.registry_cap),
-            (
-                "sd_slowlog_capacity",
-                "Slow-query ring capacity.",
-                self.slow.cap as u64,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
+            });
         }
         out
     }
 }
 
-/// Scrape-time gauge values owned by the server loop rather than the
-/// metrics registry.
-#[derive(Debug, Clone, Copy, Default)]
+/// Scrape-time values owned by the server loop rather than the metrics
+/// registry.
+#[derive(Debug, Clone, Default)]
 pub struct ScrapeGauges {
     /// Connections accepted since start.
     pub connections_total: u64,
@@ -932,11 +658,230 @@ pub struct ScrapeGauges {
     pub workers: u64,
     /// Result-cache counters.
     pub cache: CacheStats,
-    /// Registered systems.
-    pub registry_systems: u64,
     /// Registry capacity.
     pub registry_cap: u64,
+    /// `(key, description)` of every registered system.
+    pub systems: Vec<(u64, String)>,
 }
+
+/// A family's Prometheus type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+impl Kind {
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// A label dimension. Each value has a JSON key and a Prometheus label
+/// value; they differ only where Prometheus convention asks for it
+/// (`cold="true"`, `quantile="0.5"`).
+#[derive(Debug, Clone, Copy)]
+enum Dim {
+    Method,
+    Outcome,
+    Temp,
+    Phase,
+    Engine,
+    Quantile,
+}
+
+/// Derived latency quantiles: JSON key, Prometheus label value, percent.
+const QUANTILES: [(&str, &str, u64); 4] = [
+    ("p50_ns", "0.5", 50),
+    ("p90_ns", "0.9", 90),
+    ("p95_ns", "0.95", 95),
+    ("p99_ns", "0.99", 99),
+];
+
+impl Dim {
+    /// The Prometheus label name.
+    fn name(self) -> &'static str {
+        match self {
+            Dim::Method => "method",
+            Dim::Outcome => "outcome",
+            Dim::Temp => "cold",
+            Dim::Phase => "phase",
+            Dim::Engine => "engine",
+            Dim::Quantile => "quantile",
+        }
+    }
+
+    /// Number of values.
+    fn len(self) -> usize {
+        match self {
+            Dim::Method => METHODS,
+            Dim::Outcome => OUTCOMES,
+            Dim::Temp => 2,
+            Dim::Phase => PHASES,
+            Dim::Engine => ENGINES.len(),
+            Dim::Quantile => QUANTILES.len(),
+        }
+    }
+
+    /// The JSON key of value `i`.
+    fn key(self, i: usize) -> &'static str {
+        match self {
+            Dim::Method => Method::ALL[i].as_str(),
+            Dim::Outcome => outcome_str(i.checked_sub(1).map(|k| ErrorKind::ALL[k])),
+            Dim::Temp => ["cold", "warm"][i],
+            Dim::Phase => Phase::ALL[i].as_str(),
+            Dim::Engine => ENGINES[i],
+            Dim::Quantile => QUANTILES[i].0,
+        }
+    }
+
+    /// The Prometheus label value of value `i`.
+    fn prom(self, i: usize) -> &'static str {
+        match self {
+            Dim::Temp => ["true", "false"][i],
+            Dim::Quantile => QUANTILES[i].1,
+            d => d.key(i),
+        }
+    }
+}
+
+/// One sample's value.
+enum Value {
+    Num(u64),
+    Hist(HistogramSnapshot),
+}
+
+/// Reads the sample at one tuple of label indices.
+type Read = fn(&ServerMetrics, &ScrapeGauges, &[usize]) -> Value;
+
+/// One metric family, described once for both scrape formats.
+struct Family {
+    kind: Kind,
+    /// Prometheus family name.
+    name: &'static str,
+    /// Dotted JSON path; samples nest below it by their label keys.
+    json: &'static str,
+    /// Label dimensions, outermost first.
+    dims: &'static [Dim],
+    read: Read,
+    /// Prometheus help text.
+    help: &'static str,
+}
+
+/// Every metric family, in exposition order.
+#[rustfmt::skip]
+const FAMILIES: &[Family] = &[
+    Family { kind: Kind::Counter, name: "sd_requests_total", json: "requests", dims: &[Dim::Method, Dim::Outcome],
+        help: "Requests handled, by method and outcome.",
+        read: |m, _, i| Value::Num(m.requests[i[0]][i[1]].get()) },
+    Family { kind: Kind::Histogram, name: "sd_request_duration_ns", json: "durations", dims: &[Dim::Method, Dim::Temp],
+        help: "Request wall time, successful requests only.",
+        read: |m, _, i| Value::Hist(m.durations[i[0]][i[1]].snapshot()) },
+    Family { kind: Kind::Gauge, name: "sd_request_duration_quantile_ns", json: "durations", dims: &[Dim::Method, Dim::Temp, Dim::Quantile],
+        help: "Derived latency quantiles (p50/p90/p95/p99).",
+        read: |m, _, i| Value::Num(m.durations[i[0]][i[1]].snapshot().quantile(QUANTILES[i[2]].2, 100)) },
+    Family { kind: Kind::Counter, name: "sd_request_phase_ns_total", json: "phase_ns", dims: &[Dim::Method, Dim::Phase],
+        help: "Cumulative per-phase request time.",
+        read: |m, _, i| Value::Num(m.phases[i[0]][i[1]].get()) },
+    Family { kind: Kind::Counter, name: "sd_pair_expansions_total", json: "costs.pair_expansions", dims: &[Dim::Method],
+        help: "Pair expansions attempted by served searches.",
+        read: |m, _, i| Value::Num(m.pair_expansions[i[0]].get()) },
+    Family { kind: Kind::Counter, name: "sd_visited_pairs_total", json: "costs.visited_pairs", dims: &[Dim::Method],
+        help: "Distinct canonical state pairs discovered by served searches.",
+        read: |m, _, i| Value::Num(m.visited_pairs[i[0]].get()) },
+    Family { kind: Kind::Counter, name: "sd_bfs_levels_total", json: "costs.bfs_levels", dims: &[Dim::Method],
+        help: "BFS levels expanded by served searches.",
+        read: |m, _, i| Value::Num(m.bfs_levels[i[0]].get()) },
+    Family { kind: Kind::Counter, name: "sd_memo_rows_reused_total", json: "costs.rows_reused", dims: &[Dim::Method],
+        help: "Sparse successor rows served from the memo by served searches.",
+        read: |m, _, i| Value::Num(m.rows_reused[i[0]].get()) },
+    Family { kind: Kind::Counter, name: "sd_memo_rows_materialized_total", json: "costs.rows_materialized", dims: &[Dim::Method],
+        help: "Sparse successor rows interpreted by served searches.",
+        read: |m, _, i| Value::Num(m.rows_materialized[i[0]].get()) },
+    Family { kind: Kind::Counter, name: "sd_engine_runs_total", json: "engines", dims: &[Dim::Engine],
+        help: "Searches run, by engine kind.",
+        read: |m, _, i| Value::Num(m.engine_runs[i[0]].get()) },
+    Family { kind: Kind::Counter, name: "sd_partition_hits_total", json: "oracle.partition_hits", dims: &[],
+        help: "Sat(phi) enumerations served from the Oracle intern cache.",
+        read: |m, _, _| Value::Num(m.partition_hits.get()) },
+    Family { kind: Kind::Counter, name: "sd_partition_misses_total", json: "oracle.partition_misses", dims: &[],
+        help: "Sat(phi) enumerations computed fresh.",
+        read: |m, _, _| Value::Num(m.partition_misses.get()) },
+    Family { kind: Kind::Counter, name: "sd_oracle_memo_rows_reused_total", json: "oracle.memo_rows_reused", dims: &[],
+        help: "Sparse successor rows served from the memo, failed searches included.",
+        read: |m, _, _| Value::Num(m.memo_rows_reused.get()) },
+    Family { kind: Kind::Counter, name: "sd_oracle_memo_rows_materialized_total", json: "oracle.memo_rows_materialized", dims: &[],
+        help: "Sparse successor rows interpreted, failed searches included.",
+        read: |m, _, _| Value::Num(m.memo_rows_materialized.get()) },
+    Family { kind: Kind::Counter, name: "sd_compiles_total", json: "oracle.compiles", dims: &[],
+        help: "Successor-table compiles.",
+        read: |m, _, _| Value::Num(m.compiles.get()) },
+    Family { kind: Kind::Counter, name: "sd_compile_ns_total", json: "oracle.compile_ns", dims: &[],
+        help: "Nanoseconds spent compiling successor tables.",
+        read: |m, _, _| Value::Num(m.compile_ns.get()) },
+    Family { kind: Kind::Counter, name: "sd_cache_hits_total", json: "cache.hits", dims: &[],
+        help: "Result-cache hits.",
+        read: |_, g, _| Value::Num(g.cache.hits) },
+    Family { kind: Kind::Counter, name: "sd_cache_misses_total", json: "cache.misses", dims: &[],
+        help: "Result-cache misses.",
+        read: |_, g, _| Value::Num(g.cache.misses) },
+    Family { kind: Kind::Counter, name: "sd_cache_insertions_total", json: "cache.insertions", dims: &[],
+        help: "Result-cache insertions.",
+        read: |_, g, _| Value::Num(g.cache.insertions) },
+    Family { kind: Kind::Counter, name: "sd_cache_evictions_total", json: "cache.evictions", dims: &[],
+        help: "Result-cache evictions.",
+        read: |_, g, _| Value::Num(g.cache.evictions) },
+    Family { kind: Kind::Gauge, name: "sd_cache_entries", json: "cache.entries", dims: &[],
+        help: "Result-cache entries.",
+        read: |_, g, _| Value::Num(g.cache.entries) },
+    Family { kind: Kind::Gauge, name: "sd_cache_capacity", json: "cache.capacity", dims: &[],
+        help: "Result-cache capacity.",
+        read: |_, g, _| Value::Num(g.cache.capacity) },
+    Family { kind: Kind::Gauge, name: "sd_registry_systems", json: "registry.systems", dims: &[],
+        help: "Registered systems.",
+        read: |_, g, _| Value::Num(g.systems.len() as u64) },
+    Family { kind: Kind::Gauge, name: "sd_registry_capacity", json: "registry.capacity", dims: &[],
+        help: "Registry capacity.",
+        read: |_, g, _| Value::Num(g.registry_cap) },
+    Family { kind: Kind::Counter, name: "sd_connections_total", json: "gauges.connections_total", dims: &[],
+        help: "TCP connections accepted.",
+        read: |_, g, _| Value::Num(g.connections_total) },
+    Family { kind: Kind::Gauge, name: "sd_connections_open", json: "gauges.connections_open", dims: &[],
+        help: "Currently open connections.",
+        read: |_, g, _| Value::Num(g.connections_open) },
+    Family { kind: Kind::Gauge, name: "sd_inflight_queries", json: "gauges.inflight", dims: &[],
+        help: "Queries executing in the worker pool.",
+        read: |_, g, _| Value::Num(g.inflight) },
+    Family { kind: Kind::Gauge, name: "sd_queue_depth", json: "gauges.queue_depth", dims: &[],
+        help: "Jobs waiting in the admission queue.",
+        read: |_, g, _| Value::Num(g.queue_depth) },
+    Family { kind: Kind::Gauge, name: "sd_workers", json: "gauges.workers", dims: &[],
+        help: "Worker pool size.",
+        read: |_, g, _| Value::Num(g.workers) },
+    Family { kind: Kind::Counter, name: "sd_access_log_dropped_total", json: "access_log_dropped", dims: &[],
+        help: "Access-log lines dropped instead of blocking requests.",
+        read: |m, _, _| Value::Num(m.access_dropped.get()) },
+    Family { kind: Kind::Counter, name: "sd_slow_queries_total", json: "slowlog.captured", dims: &[],
+        help: "Requests slower than the slow-query threshold.",
+        read: |m, _, _| Value::Num(m.slow.captured.get()) },
+    Family { kind: Kind::Gauge, name: "sd_slowlog_capacity", json: "slowlog.capacity", dims: &[],
+        help: "Slow-query ring capacity.",
+        read: |m, _, _| Value::Num(m.slow.cap as u64) },
+    Family { kind: Kind::Gauge, name: "sd_slowlog_threshold_ms", json: "slowlog.threshold_ms", dims: &[],
+        help: "Slow-query threshold in milliseconds.",
+        read: |m, _, _| Value::Num(m.slow_ns / 1_000_000) },
+    Family { kind: Kind::Gauge, name: "sd_uptime_seconds", json: "uptime_s", dims: &[],
+        help: "Seconds since start.",
+        read: |m, _, _| Value::Num(m.started.elapsed().as_secs()) },
+    Family { kind: Kind::Gauge, name: "sd_metrics_enabled", json: "enabled", dims: &[],
+        help: "1 when metric recording is live.",
+        read: |m, _, _| Value::Num(u64::from(m.enabled)) },
+];
 
 /// A [`Sink`] that rolls Oracle telemetry into server metric families
 /// and forwards every event to an optional inner sink (`--telemetry`).
@@ -1075,7 +1020,7 @@ mod tests {
             workers: 4,
             ..ScrapeGauges::default()
         };
-        let prom = m.render_prom(&g);
+        let prom = m.prometheus(&g);
         assert!(prom.contains("# TYPE sd_requests_total counter"), "{prom}");
         assert!(
             prom.contains(r#"sd_requests_total{method="sinks",outcome="ok"} 3"#),
@@ -1088,6 +1033,169 @@ mod tests {
         for line in prom.lines() {
             assert!(line.starts_with('#') || line.starts_with("sd_"), "{line}");
         }
+    }
+
+    /// The `as usize` indices agree with the `ALL` tables that label
+    /// values are read from.
+    #[test]
+    fn enum_indices_follow_their_all_tables() {
+        assert!(Method::ALL.iter().enumerate().all(|(i, m)| m.idx() == i));
+        assert!(Phase::ALL.iter().enumerate().all(|(i, p)| p.idx() == i));
+        for (i, k) in ErrorKind::ALL.into_iter().enumerate() {
+            assert_eq!(outcome_idx(Some(k)), i + 1);
+            assert_eq!(ErrorKind::from_wire(k.as_str()), Some(k));
+        }
+    }
+
+    /// One Prometheus sample line: name, labels, value.
+    fn prom_sample(line: &str) -> (&str, Vec<(&str, &str)>, u64) {
+        let (head, value) = line.rsplit_once(' ').expect("sample value");
+        let (name, labels) = match head.split_once('{') {
+            None => (head, Vec::new()),
+            Some((name, rest)) => {
+                let labels = rest.trim_end_matches('}').split(',');
+                let labels = labels.map(|kv| kv.split_once('=').expect("label pair"));
+                (
+                    name,
+                    labels.map(|(k, v)| (k, v.trim_matches('"'))).collect(),
+                )
+            }
+        };
+        (name, labels, value.parse().expect("integer sample"))
+    }
+
+    fn json_leaves(v: &crate::wire::Json, path: String, out: &mut Vec<String>) {
+        match v.as_obj() {
+            Some(fields) => {
+                for (k, v) in fields {
+                    let p = if path.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{path}.{k}")
+                    };
+                    json_leaves(v, p, out);
+                }
+            }
+            None if v.as_arr().is_none() => out.push(path),
+            None => {}
+        }
+    }
+
+    /// After a fixed request mix, every Prometheus sample equals the
+    /// JSON value at its family's path, and every JSON number has a
+    /// Prometheus sample.
+    #[test]
+    fn json_and_prometheus_scrapes_agree() {
+        let m = ServerMetrics::new(true, 1_000_000, 8);
+        let report = QueryReport {
+            engine: "compiled-sparse",
+            wall_ns: 900,
+            visited_pairs: 12,
+            pair_expansions: 48,
+            levels: 2,
+            partition_cached: true,
+            fresh_compile: false,
+            rows_reused: 3,
+            rows_materialized: 5,
+        };
+        let mut trace = RequestTrace::start();
+        trace.add(Phase::Parse, 50);
+        trace.add(Phase::Search, 700);
+        for (method, outcome, cold, report) in [
+            (Method::Register, None, true, None),
+            (Method::Depends, None, true, Some(&report)),
+            (Method::Depends, None, false, None),
+            (Method::Depends, Some(ErrorKind::Timeout), true, None),
+            (Method::SinksMatrix, None, true, Some(&report)),
+            (Method::Unknown, Some(ErrorKind::Parse), false, None),
+        ] {
+            let obs = RequestObs {
+                method,
+                outcome,
+                cold,
+                report,
+                ..RequestObs::default()
+            };
+            m.observe_request(&obs, &trace);
+        }
+        m.partition_hits.inc();
+        m.memo_rows_reused.add(7);
+        m.compiles.inc();
+        let g = ScrapeGauges {
+            connections_total: 3,
+            inflight: 1,
+            workers: 4,
+            cache: CacheStats {
+                hits: 1,
+                misses: 2,
+                capacity: 64,
+                ..CacheStats::default()
+            },
+            registry_cap: 8,
+            systems: vec![(42, "example:copy(2)".into())],
+            ..ScrapeGauges::default()
+        };
+        let mut j = JsonBuf::new();
+        j.begin_obj();
+        m.json(&g, &mut j);
+        j.end_obj();
+        let json = crate::wire::parse(&j.finish()).expect("JSON scrape parses");
+        let mut covered = Vec::new();
+        for line in m.prometheus(&g).lines().filter(|l| !l.starts_with('#')) {
+            let (name, labels, value) = prom_sample(line);
+            let (fam, suffix) = FAMILIES
+                .iter()
+                .find_map(|f| {
+                    let hist = f.kind == Kind::Histogram;
+                    match name.strip_prefix(f.name)? {
+                        "" if !hist => Some((f, None)),
+                        "_bucket" if hist => Some((f, Some("buckets"))),
+                        "_sum" if hist => Some((f, Some("sum_ns"))),
+                        "_count" if hist => Some((f, Some("count"))),
+                        _ => None,
+                    }
+                })
+                .unwrap_or_else(|| panic!("no family for `{line}`"));
+            let label = |name: &str| labels.iter().find(|(k, _)| *k == name).map(|kv| kv.1);
+            let mut path: Vec<&str> = fam.json.split('.').collect();
+            for d in fam.dims {
+                let v = label(d.name()).expect("every dimension labelled");
+                path.push(d.key((0..d.len()).find(|&i| d.prom(i) == v).expect("known value")));
+            }
+            path.extend(suffix);
+            let at = path.iter().try_fold(&json, |v, k| v.get(k));
+            let at = at.unwrap_or_else(|| panic!("`{line}` has no JSON at {path:?}"));
+            let want = match label("le") {
+                None => at.as_u64().expect("JSON number"),
+                Some(le) => {
+                    let le = le.parse().unwrap_or(u64::MAX);
+                    let buckets = at.as_arr().expect("bucket array").iter();
+                    let pairs = buckets.map(|b| b.as_arr().expect("[upper, n]"));
+                    pairs
+                        .filter(|b| b[0].as_u64().unwrap() <= le)
+                        .map(|b| b[1].as_u64().unwrap())
+                        .sum()
+                }
+            };
+            assert_eq!(value, want, "`{line}` vs JSON {path:?}");
+            covered.push(path.join("."));
+        }
+        let mut leaves = Vec::new();
+        json_leaves(&json, String::new(), &mut leaves);
+        assert!(leaves.contains(&"durations.depends.cold.p95_ns".to_string()));
+        assert!(leaves.contains(&"oracle.memo_rows_reused".to_string()));
+        for leaf in leaves {
+            assert!(
+                covered.contains(&leaf),
+                "JSON `{leaf}` has no Prometheus sample"
+            );
+        }
+        let list = json.get("registry").and_then(|r| r.get("list"));
+        let first = list.and_then(|l| l.as_arr()).and_then(|l| l.first());
+        assert_eq!(
+            first.and_then(|s| s.get("system")).and_then(|k| k.as_u64()),
+            Some(42)
+        );
     }
 
     #[test]

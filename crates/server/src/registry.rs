@@ -29,7 +29,7 @@ use crate::proto::{ErrorKind, SystemDesc, WireError};
 pub struct SystemEntry {
     /// The registry key ([`SystemDesc::content_key`]).
     pub key: u64,
-    /// Human-readable description for stats/logs.
+    /// Human-readable description for scrapes and logs.
     pub desc: String,
     /// The system, alive for the life of the process.
     pub system: &'static System,
@@ -160,7 +160,7 @@ impl Registry {
     }
 
     /// `(key, description)` of every registered system, sorted by key
-    /// (deterministic stats output).
+    /// (deterministic scrape output).
     pub fn list(&self) -> Vec<(u64, String)> {
         let mut out: Vec<(u64, String)> = self
             .entries

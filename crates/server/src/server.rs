@@ -7,8 +7,8 @@
 //! - One **accept thread** polls a non-blocking listener and spawns a
 //!   thread per connection (connections are cheap: they block on reads).
 //! - Each **connection thread** reads bounded JSON lines, answers
-//!   control methods (`ping`, `register`, `stats`, `metrics`,
-//!   `slowlog`, `shutdown`) inline, and submits query work to a bounded
+//!   control methods (`ping`, `register`, `metrics`, `slowlog`,
+//!   `shutdown`) inline, and submits query work to a bounded
 //!   [`mpsc::sync_channel`]. A full queue is an immediate `overloaded`
 //!   error — the client backs off, the server never buffers unbounded
 //!   work.
@@ -89,7 +89,7 @@ pub struct Config {
     /// Slow-query ring capacity (most recent N kept).
     pub slowlog_cap: usize,
     /// Whether metric recording is live. `false` turns every recording
-    /// call into a no-op — the A/B baseline for the overhead bench.
+    /// call into a no-op.
     pub metrics: bool,
 }
 
@@ -113,23 +113,9 @@ impl Default for Config {
     }
 }
 
-/// Aggregate request counters, surfaced by `stats`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Requests parsed (including failed ones).
-    pub requests: u64,
-    /// Error responses sent.
-    pub errors: u64,
-    /// Queries currently executing in the worker pool.
-    pub inflight: u64,
-}
-
 struct Shared {
     registry: Registry,
     cache: ResultCache,
-    sink: Option<Arc<dyn Sink>>,
     metrics: Arc<ServerMetrics>,
     access: Option<Mutex<Box<dyn Write + Send>>>,
     max_frame: usize,
@@ -139,8 +125,6 @@ struct Shared {
     jobs: Mutex<Option<SyncSender<Job>>>,
     connections: AtomicU64,
     connections_open: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
     inflight: AtomicU64,
     queue_depth: AtomicU64,
 }
@@ -205,8 +189,8 @@ impl Shared {
             queue_depth: self.queue_depth.load(Ordering::SeqCst),
             workers: self.workers as u64,
             cache: self.cache.stats(),
-            registry_systems: self.registry.len() as u64,
             registry_cap: self.registry.cap() as u64,
+            systems: self.registry.list(),
         }
     }
 
@@ -293,9 +277,8 @@ impl ServeHandle {
         };
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
-            registry: Registry::new(cfg.registry_cap, cfg.budget, sink.clone()),
+            registry: Registry::new(cfg.registry_cap, cfg.budget, sink),
             cache: ResultCache::new(cfg.cache_cap),
-            sink,
             metrics,
             access: cfg.access_log.map(Mutex::new),
             max_frame: cfg.max_frame,
@@ -305,8 +288,6 @@ impl ServeHandle {
             jobs: Mutex::new(Some(tx)),
             connections: AtomicU64::new(0),
             connections_open: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
         });
@@ -345,8 +326,7 @@ impl ServeHandle {
         self.shared.cache.stats()
     }
 
-    /// The server's metric families, for in-process inspection in tests
-    /// and the load bench.
+    /// The server's metric families, for in-process inspection in tests.
     pub fn metrics(&self) -> Arc<ServerMetrics> {
         Arc::clone(&self.shared.metrics)
     }
@@ -380,7 +360,6 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<Job>>>, shared: &Arc<Shared>) {
         let result = engine::execute_query(
             &job.entry,
             &shared.cache,
-            shared.sink.as_ref(),
             &job.req,
             shared.max_timeout,
             &mut job.trace,
@@ -486,36 +465,6 @@ fn flag_response(id: Option<u64>, flag: &str) -> String {
     j.finish()
 }
 
-fn stats_response(shared: &Shared, id: Option<u64>) -> String {
-    let cache = shared.cache.stats();
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    put_id(&mut j, id);
-    j.bool_field("ok", true);
-    j.begin_obj_field("cache")
-        .u64_field("hits", cache.hits)
-        .u64_field("misses", cache.misses)
-        .u64_field("insertions", cache.insertions)
-        .u64_field("evictions", cache.evictions)
-        .u64_field("entries", cache.entries)
-        .u64_field("capacity", cache.capacity)
-        .end_obj();
-    j.u64_field("connections", shared.connections.load(Ordering::SeqCst))
-        .u64_field("requests", shared.requests.load(Ordering::SeqCst))
-        .u64_field("errors", shared.errors.load(Ordering::SeqCst))
-        .u64_field("inflight", shared.inflight.load(Ordering::SeqCst));
-    j.begin_arr_field("systems");
-    for (key, desc) in shared.registry.list() {
-        j.begin_obj()
-            .u64_field("system", key)
-            .str_field("desc", &desc)
-            .end_obj();
-    }
-    j.end_arr();
-    j.end_obj();
-    j.finish()
-}
-
 fn metrics_response(shared: &Shared, id: Option<u64>, prom: bool) -> String {
     let gauges = shared.scrape_gauges();
     let mut j = JsonBuf::new();
@@ -524,10 +473,10 @@ fn metrics_response(shared: &Shared, id: Option<u64>, prom: bool) -> String {
     j.bool_field("ok", true);
     if prom {
         j.str_field("format", "prometheus");
-        j.str_field("text", &shared.metrics.render_prom(&gauges));
+        j.str_field("text", &shared.metrics.prometheus(&gauges));
     } else {
         j.begin_obj_field("metrics");
-        shared.metrics.json_fields(&gauges, &mut j);
+        shared.metrics.json(&gauges, &mut j);
         j.end_obj();
     }
     j.end_obj();
@@ -673,8 +622,6 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
             Ok(Some(line)) => (line, RequestTrace::start()),
             Err(err) => {
                 let mut trace = RequestTrace::start();
-                shared.requests.fetch_add(1, Ordering::SeqCst);
-                shared.errors.fetch_add(1, Ordering::SeqCst);
                 let done = Done::err(Method::Unknown, None, &err);
                 let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
                 shared.observe_and_log(None, &done, &trace);
@@ -685,11 +632,9 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
         if line.trim().is_empty() {
             continue;
         }
-        shared.requests.fetch_add(1, Ordering::SeqCst);
         let frame = match trace.time(Phase::Parse, || proto::parse_frame(&line)) {
             Ok(frame) => frame,
             Err(err) => {
-                shared.errors.fetch_add(1, Ordering::SeqCst);
                 let done = Done::err(Method::Unknown, None, &err);
                 let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
                 shared.observe_and_log(None, &done, &trace);
@@ -700,10 +645,6 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
         let id = frame.id;
         let done = match frame.req {
             Request::Ping => Done::ok(Method::Ping, flag_response(id, "pong")),
-            Request::Stats => Done::ok(
-                Method::Stats,
-                trace.time(Phase::Serialize, || stats_response(shared, id)),
-            ),
             Request::Metrics { prom } => Done::ok(
                 Method::Metrics,
                 trace.time(Phase::Serialize, || metrics_response(shared, id, prom)),
@@ -719,9 +660,6 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
             Request::Register(desc) => handle_register(shared, id, &desc, &mut trace),
             Request::Query(q) => handle_query(shared, id, q, &mut trace),
         };
-        if done.outcome.is_some() {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-        }
         let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
         // Observe after the write so the trace's write phase and total
         // cover the full request. A scrape therefore does not count

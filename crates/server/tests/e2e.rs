@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use sd_core::{examples, CompileBudget, ObjSet, Query, QueryEvent, RecordingSink};
 use sd_server::proto;
-use sd_server::{Client, Config, ErrorKind, QueryReq, ServeHandle, SystemDesc};
+use sd_server::{Client, Config, ErrorKind, Json, QueryReq, ServeHandle, SystemDesc};
 
 fn spawn(sink: Option<Arc<RecordingSink>>) -> ServeHandle {
     let cfg = Config {
@@ -81,8 +81,10 @@ fn concurrent_clients_compile_once_and_share_the_cache() {
         r1.answer_raw, r2.answer_raw,
         "cache replay must be byte-identical"
     );
-    assert!(sink.count(|e| matches!(e, QueryEvent::ResultCacheHit { .. })) >= 1);
-    assert!(sink.count(|e| matches!(e, QueryEvent::ResultCacheMiss { .. })) >= 1);
+    let cache = c1.metrics().unwrap();
+    let cache = cache.get("cache").expect("cache block");
+    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(1));
+    assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1));
 
     // Byte-identical to the in-process library answer.
     let sys = examples::flag_copy_system(3).unwrap();
@@ -205,20 +207,22 @@ fn shutdown_drains_and_refuses_new_work() {
     handle.wait();
 }
 
-/// `stats` surfaces cache hit/miss counters and the registered systems.
+/// The `metrics` scrape surfaces cache hit/miss counters and the
+/// registered systems.
 #[test]
-fn stats_surface_cache_counters_and_registry() {
+fn metrics_surface_cache_counters_and_registry() {
     let handle = spawn(None);
     let mut c = Client::connect(handle.local_addr()).unwrap();
     let key = c.register(flag_copy_desc()).unwrap();
     let req = QueryReq::sinks(key, vec!["alpha".into()]);
     c.sinks(req.clone()).unwrap();
     c.sinks(req).unwrap();
-    let stats = c.stats().unwrap();
-    let cache = stats.get("cache").expect("cache block");
+    let scraped = c.metrics().unwrap();
+    let cache = scraped.get("cache").expect("cache block");
     assert_eq!(cache.get("hits").unwrap().as_u64(), Some(1));
     assert_eq!(cache.get("misses").unwrap().as_u64(), Some(1));
-    let systems = stats.get("systems").unwrap().as_arr().unwrap();
+    let registry = scraped.get("registry").expect("registry block");
+    let systems = registry.get("list").unwrap().as_arr().unwrap();
     assert_eq!(systems.len(), 1);
     assert_eq!(systems[0].get("system").unwrap().as_u64(), Some(key));
     handle.shutdown();

@@ -130,6 +130,15 @@ fn known_mix_produces_exact_counters_histograms_and_slowlog() {
     assert_eq!(u64_at(&scraped, &["registry", "systems"]), Some(1));
     assert_eq!(u64_at(&scraped, &["oracle", "compiles"]), Some(1));
     assert!(u64_at(&scraped, &["durations", "depends", "cold", "p50_ns"]).unwrap() > 0);
+    // The paths the sdbench harness reads stay where it looks for them.
+    for path in [
+        &["requests", "depends", "ok"][..],
+        &["durations", "depends", "warm", "count"][..],
+        &["durations", "depends", "cold", "sum_ns"][..],
+        &["phase_ns", "depends", "parse"][..],
+    ] {
+        assert!(u64_at(&scraped, path).is_some(), "missing {path:?}");
+    }
 
     // The slow ring (threshold 0) captured the timeout with all six
     // phases present, and phases that ran are nonzero.

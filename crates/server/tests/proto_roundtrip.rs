@@ -83,7 +83,6 @@ fn arb_query() -> impl Strategy<Value = QueryReq> {
 fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         Just(Request::Ping),
-        Just(Request::Stats),
         Just(Request::Shutdown),
         (0u32..2).prop_map(|prom| Request::Metrics { prom: prom == 1 }),
         (0u32..2, 0u64..100_000).prop_map(|(has, n)| Request::SlowLog {
@@ -104,19 +103,13 @@ proptest! {
     }
 
     #[test]
-    fn error_responses_round_trip(kind in 0u32..11, msg in arb_name(), id in 0u64..1000) {
-        let kinds = [
-            ErrorKind::Parse, ErrorKind::Protocol, ErrorKind::TooLarge,
-            ErrorKind::UnknownMethod, ErrorKind::UnknownSystem, ErrorKind::Invalid,
-            ErrorKind::Timeout, ErrorKind::Budget, ErrorKind::Overloaded,
-            ErrorKind::ShuttingDown, ErrorKind::Internal,
-        ];
-        let err = WireError::new(kinds[kind as usize], msg.clone());
+    fn error_responses_round_trip(kind in 0..ErrorKind::ALL.len(), msg in arb_name(), id in 0u64..1000) {
+        let err = WireError::new(ErrorKind::ALL[kind], msg.clone());
         let line = encode_error(Some(id), &err);
         let resp = parse_response(&line).unwrap();
         prop_assert!(!resp.ok);
         let got = resp.error.unwrap();
-        prop_assert_eq!(got.kind, kinds[kind as usize]);
+        prop_assert_eq!(got.kind, ErrorKind::ALL[kind]);
         prop_assert_eq!(got.message, msg);
     }
 

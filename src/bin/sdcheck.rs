@@ -19,7 +19,7 @@
 //!
 //! sdcheck client <op> [--addr HOST:PORT] ...
 //!     Talk to a running `sdserved` daemon: register systems, run
-//!     depends/sinks queries remotely, fetch stats, shut it down.
+//!     depends/sinks queries remotely, scrape metrics, shut it down.
 //! ```
 
 use std::collections::BTreeMap;
@@ -65,7 +65,7 @@ fn usage() -> String {
      sdcheck certify <file> --cls VAR=LEVEL... [--levels L1<L2<...]\n  \
      sdcheck compile <file>\n  \
      sdcheck run <file> --init VAR=VALUE... [--fuel N]\n  \
-     sdcheck client (ping|register|depends|sinks|stats|metrics|slowlog|shutdown) [--addr HOST:PORT] ...\n      \
+     sdcheck client (ping|register|depends|sinks|metrics|slowlog|shutdown) [--addr HOST:PORT] ...\n      \
      system: --system KEY | --example NAME [--params P1,P2,...] | --program FILE\n      \
      query:  --from VAR[,VAR...] --to VAR [--phi EXPR] [--bound N] [--timeout-ms N] [--max-pairs N]\n      \
      scrape: metrics [--prom] | slowlog [--limit N]"
@@ -459,38 +459,6 @@ fn do_client(args: &[String]) -> Result<ExitCode, String> {
             println!("sinks: {}", objs.join(" "));
             Ok(ExitCode::SUCCESS)
         }
-        "stats" => {
-            let stats = c.stats().map_err(|e| e.to_string())?;
-            let field = |path: &[&str]| {
-                let mut v = &stats;
-                for k in path {
-                    v = v.get(k)?;
-                }
-                v.as_u64()
-            };
-            for (label, path) in [
-                ("connections", &["connections"][..]),
-                ("requests", &["requests"][..]),
-                ("errors", &["errors"][..]),
-                ("inflight", &["inflight"][..]),
-                ("cache hits", &["cache", "hits"][..]),
-                ("cache misses", &["cache", "misses"][..]),
-                ("cache entries", &["cache", "entries"][..]),
-            ] {
-                if let Some(v) = field(path) {
-                    println!("{label}: {v}");
-                }
-            }
-            if let Some(systems) = stats.get("systems").and_then(|s| s.as_arr()) {
-                println!("systems: {}", systems.len());
-                for s in systems {
-                    let key = s.get("system").and_then(|k| k.as_u64()).unwrap_or(0);
-                    let desc = s.get("desc").and_then(|d| d.as_str()).unwrap_or("?");
-                    println!("  {key}  {desc}");
-                }
-            }
-            Ok(ExitCode::SUCCESS)
-        }
         "metrics" => {
             use strong_dependency::server::Json;
             if get("prom").is_some() {
@@ -541,6 +509,7 @@ fn do_client(args: &[String]) -> Result<ExitCode, String> {
             for (label, path) in [
                 ("cache hits", &["cache", "hits"][..]),
                 ("cache misses", &["cache", "misses"][..]),
+                ("cache entries", &["cache", "entries"][..]),
                 ("oracle compiles", &["oracle", "compiles"][..]),
                 ("partition hits", &["oracle", "partition_hits"][..]),
                 ("slow queries", &["slowlog", "captured"][..]),
@@ -548,6 +517,15 @@ fn do_client(args: &[String]) -> Result<ExitCode, String> {
             ] {
                 if let Some(v) = u64_at(&m, path) {
                     println!("{label}: {v}");
+                }
+            }
+            let list = m.get("registry").and_then(|r| r.get("list"));
+            if let Some(systems) = list.and_then(Json::as_arr) {
+                println!("systems: {}", systems.len());
+                for s in systems {
+                    let key = s.get("system").and_then(Json::as_u64).unwrap_or(0);
+                    let desc = s.get("desc").and_then(Json::as_str).unwrap_or("?");
+                    println!("  {key}  {desc}");
                 }
             }
             Ok(ExitCode::SUCCESS)
