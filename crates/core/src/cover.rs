@@ -15,6 +15,7 @@ use crate::compiled::par_map_chunks;
 use crate::constraint::{Phi, StateSet};
 use crate::error::Result;
 use crate::oracle::Oracle;
+use crate::query::Query;
 use crate::system::System;
 use crate::universe::{ObjId, ObjSet};
 
@@ -119,7 +120,7 @@ pub fn prove_separation_of_variety_with(
                     let conj = phi.clone().and(cover[i].clone());
                     match strategy {
                         PieceStrategy::ExactBfs => {
-                            if oracle.depends(&conj, a, beta)?.is_some() {
+                            if Query::new(conj, a.clone()).beta(beta).run(oracle)?.holds() {
                                 return Ok(Err(format!(
                                     "piece {i}: A ▷(φ∧φ{i}) β holds — no proof possible"
                                 )));

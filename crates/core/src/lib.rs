@@ -71,7 +71,7 @@ pub use crate::metrics::{Counter, Histogram, HistogramSnapshot};
 pub use crate::op::{Cmd, LValue, Op};
 pub use crate::oracle::{Oracle, OracleStats};
 pub use crate::query::{Query, QueryAnswer, QueryOutcome};
-pub use crate::reach::{DependsWitness, SearchLimits, SearchStats};
+pub use crate::reach::DependsWitness;
 pub use crate::state::State;
 pub use crate::system::System;
 pub use crate::telemetry::{JsonLinesSink, NullSink, QueryEvent, QueryReport, RecordingSink, Sink};

@@ -18,10 +18,12 @@
 //! - a shared sparse-row cache for the op-kernel sweeps of
 //!   [`crate::induction`] and [`crate::classify`].
 //!
-//! The one-shot functions in [`crate::reach`] construct a short-lived
-//! Oracle per call, so there is exactly one code path; the provers
-//! ([`crate::solve`], [`crate::cover`], [`crate::induction`]) hold one
-//! Oracle across their whole run, which is where the compile-once payoff
+//! An Oracle has no query methods of its own: [`crate::query::Query`] is
+//! the one public way to ask. One-shot [`crate::query::Query::run_on`]
+//! runs construct a short-lived Oracle per call, so there is exactly one
+//! code path; [`crate::query::Query::run`] and the provers
+//! ([`crate::solve`], [`crate::cover`], [`crate::induction`]) share one
+//! Oracle across many searches, which is where the compile-once payoff
 //! lands.
 //!
 //! # When does an Oracle interpret instead of compiling?
@@ -31,8 +33,9 @@
 //! longer fit); in that case every search runs on the interpreted
 //! reference engine and [`OracleStats::compiles`] stays 0. Within the
 //! compiled regime, `Auto` picks dense tables when they fit the
-//! [`CompileBudget`] and lazy sparse rows otherwise — or when the φ the
-//! Oracle was built for ([`Oracle::for_phi`]) has a thin satisfying set.
+//! [`CompileBudget`] and lazy sparse rows otherwise — or, for the
+//! short-lived Oracle of a one-shot run, when the query's φ has a thin
+//! satisfying set.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,7 +48,6 @@ use crate::depend::{self, SatPartition};
 use crate::error::{Error, Result};
 use crate::reach::{
     self, compiled_search, interpreted_search, DependsWitness, SearchBuffers, SearchLimits,
-    SearchStats,
 };
 use crate::system::System;
 use crate::telemetry::{QueryEvent, Sink, Trace, TraceCounters};
@@ -72,14 +74,14 @@ pub struct OracleStats {
 /// # Examples
 ///
 /// ```
-/// use sd_core::{examples, ObjSet, Oracle, Phi};
+/// use sd_core::{examples, ObjSet, Oracle, Phi, Query};
 ///
 /// let sys = examples::flag_copy_system(3)?;
 /// let u = sys.universe();
 /// let oracle = Oracle::new(&sys)?;
 /// // Many queries, one compile.
 /// for obj in u.objects() {
-///     let _ = oracle.sinks(&Phi::True, &ObjSet::singleton(obj))?;
+///     let _ = Query::new(Phi::True, ObjSet::singleton(obj)).run(&oracle)?;
 /// }
 /// assert_eq!(oracle.stats().compiles, 1);
 /// # Ok::<(), sd_core::Error>(())
@@ -106,47 +108,27 @@ pub struct Oracle<'s> {
 }
 
 impl<'s> Oracle<'s> {
-    /// An Oracle with [`Engine::Auto`] and the default budget.
+    /// An Oracle with [`Engine::Auto`], the default budget and no sink.
     pub fn new(sys: &'s System) -> Result<Oracle<'s>> {
-        Oracle::with_engine(sys, Engine::Auto, &CompileBudget::default())
+        Oracle::with_engine(sys, Engine::Auto, &CompileBudget::default(), None)
     }
 
-    /// An Oracle with an explicit engine and budget.
+    /// An Oracle with an explicit engine and budget. With a `sink`, every
+    /// compile, partition lookup and search reports [`QueryEvent`]s to
+    /// it; the sink is attached here because compilation happens here.
     pub fn with_engine(
         sys: &'s System,
         engine: Engine,
         budget: &CompileBudget,
+        sink: Option<Arc<dyn Sink>>,
     ) -> Result<Oracle<'s>> {
-        Oracle::build(sys, engine, budget, None, None)
+        Oracle::build(sys, engine, budget, None, sink)
     }
 
-    /// An instrumented Oracle: every compile, partition lookup and
-    /// search reports [`QueryEvent`]s to `sink`. The sink must be
-    /// attached at construction because compilation happens here.
-    pub fn with_sink(
-        sys: &'s System,
-        engine: Engine,
-        budget: &CompileBudget,
-        sink: Arc<dyn Sink>,
-    ) -> Result<Oracle<'s>> {
-        Oracle::build(sys, engine, budget, None, Some(sink))
-    }
-
-    /// An Oracle tuned for queries under one constraint: Sat(φ) is
-    /// enumerated up front (and interned), and [`Engine::Auto`] refines
-    /// on its thinness exactly like the one-shot search paths. This is
-    /// what one-shot [`crate::query::Query::run_on`] runs construct per
-    /// call.
-    pub fn for_phi(
-        sys: &'s System,
-        phi: &Phi,
-        engine: Engine,
-        budget: &CompileBudget,
-    ) -> Result<Oracle<'s>> {
-        Oracle::for_phi_sink(sys, phi, engine, budget, None)
-    }
-
-    /// [`Oracle::for_phi`] with a telemetry sink attached.
+    /// An Oracle tuned for queries under one constraint, as one-shot
+    /// [`crate::query::Query::run_on`] runs construct per call: Sat(φ) is
+    /// enumerated up front (and interned), and [`Engine::Auto`] refines on
+    /// its thinness.
     pub(crate) fn for_phi_sink(
         sys: &'s System,
         phi: &Phi,
@@ -301,13 +283,8 @@ impl<'s> Oracle<'s> {
     }
 
     /// `Sat(φ)` partitioned into `=A=` classes, from the interned
-    /// enumeration.
-    pub fn partition(&self, phi: &Phi, a: &ObjSet) -> Result<SatPartition> {
-        self.partition_at(phi, a, self.sink_ref())
-    }
-
-    /// [`Oracle::partition`] reporting cache events to an explicit sink.
-    pub(crate) fn partition_at(
+    /// enumeration; cache events go to `sink`.
+    pub(crate) fn partition(
         &self,
         phi: &Phi,
         a: &ObjSet,
@@ -318,29 +295,18 @@ impl<'s> Oracle<'s> {
     }
 
     /// Runs one pair search over an explicit partition, borrowing a
-    /// buffer set from the pool.
+    /// buffer set from the pool. Returns the witness (when `found`
+    /// accepted a pair) and the search's cost record.
     pub(crate) fn search_partition(
-        &self,
-        part: &SatPartition,
-        found: impl FnMut(u64, u64) -> bool,
-    ) -> Result<(Option<DependsWitness>, SearchStats)> {
-        let (witness, stats, _) =
-            self.search_partition_at(part, &SearchLimits::NONE, self.sink_ref(), found)?;
-        Ok((witness, stats))
-    }
-
-    /// [`Oracle::search_partition`] with explicit limits and sink, and the
-    /// search's hot-path counters returned for query reports.
-    pub(crate) fn search_partition_at(
         &self,
         part: &SatPartition,
         limits: &SearchLimits,
         sink: Option<&dyn Sink>,
         found: impl FnMut(u64, u64) -> bool,
-    ) -> Result<(Option<DependsWitness>, SearchStats, TraceCounters)> {
+    ) -> Result<(Option<DependsWitness>, TraceCounters)> {
         self.searches.fetch_add(1, Ordering::Relaxed);
         let mut trace = Trace::new(sink);
-        let (witness, stats) = match &self.compiled {
+        let witness = match &self.compiled {
             None => interpreted_search(self.sys, part, limits, &mut trace, found)?,
             Some(cs) => {
                 let mut bufs = self
@@ -354,89 +320,39 @@ impl<'s> Oracle<'s> {
                 out?
             }
         };
-        Ok((witness, stats, trace.counters))
+        Ok((witness, trace.counters))
     }
 
-    /// Decides `A ▷φ β` through this Oracle (the Def 2-11
-    /// search behind [`crate::query::Query::beta`]).
-    pub fn depends(&self, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<Option<DependsWitness>> {
-        Ok(self.depends_with_stats(phi, a, beta)?.0)
-    }
-
-    /// [`Oracle::depends`], also returning search diagnostics.
-    pub fn depends_with_stats(
-        &self,
-        phi: &Phi,
-        a: &ObjSet,
-        beta: ObjId,
-    ) -> Result<(Option<DependsWitness>, SearchStats)> {
-        let part = self.partition(phi, a)?;
-        self.depends_partition(&part, beta)
-    }
-
-    /// `A ▷ β` over an explicit partition (the per-cylinder searches of
-    /// the maximal-solution sweep use this).
+    /// `A ▷ B` over an explicit partition: a reachable pair differs at
+    /// every target object at once (Def 5-7; a β target is `[β]`). The
+    /// targets must be non-empty. β- and set-target queries and the
+    /// per-cylinder searches of the maximal-solution sweep use this.
     pub(crate) fn depends_partition(
         &self,
         part: &SatPartition,
-        beta: ObjId,
-    ) -> Result<(Option<DependsWitness>, SearchStats)> {
-        let (witness, stats, _) =
-            self.depends_partition_at(part, beta, &SearchLimits::NONE, self.sink_ref())?;
-        Ok((witness, stats))
-    }
-
-    /// [`Oracle::depends_partition`] with explicit limits, sink and counters.
-    pub(crate) fn depends_partition_at(
-        &self,
-        part: &SatPartition,
-        beta: ObjId,
+        targets: impl IntoIterator<Item = ObjId>,
         limits: &SearchLimits,
         sink: Option<&dyn Sink>,
-    ) -> Result<(Option<DependsWitness>, SearchStats, TraceCounters)> {
-        let (stride, dom) = reach::extractor(self.sys.universe(), beta);
-        self.search_partition_at(part, limits, sink, move |c1, c2| {
-            (c1 / stride) % dom != (c2 / stride) % dom
+    ) -> Result<(Option<DependsWitness>, TraceCounters)> {
+        let u = self.sys.universe();
+        let extractors: Vec<(u64, u64)> = targets
+            .into_iter()
+            .map(|obj| reach::extractor(u, obj))
+            .collect();
+        self.search_partition(part, limits, sink, move |c1, c2| {
+            extractors
+                .iter()
+                .all(|&(stride, dom)| (c1 / stride) % dom != (c2 / stride) % dom)
         })
     }
 
-    /// Decides the set-target relation `A ▷φ B` (Def 5-7; see
-    /// [`crate::query::Query::set`]).
-    pub fn depends_set(&self, phi: &Phi, a: &ObjSet, b: &ObjSet) -> Result<Option<DependsWitness>> {
-        if b.is_empty() {
-            return Ok(None);
-        }
-        let u = self.sys.universe();
-        let targets: Vec<(u64, u64)> = b.iter().map(|obj| reach::extractor(u, obj)).collect();
-        let part = self.partition(phi, a)?;
-        let (witness, _) = self.search_partition(&part, move |c1, c2| {
-            targets
-                .iter()
-                .all(|&(stride, dom)| (c1 / stride) % dom != (c2 / stride) % dom)
-        })?;
-        Ok(witness)
-    }
-
-    /// All sinks of one source set: `{ β | A ▷φ β }`.
-    pub fn sinks(&self, phi: &Phi, a: &ObjSet) -> Result<ObjSet> {
-        let part = self.partition(phi, a)?;
-        self.sinks_partition(&part)
-    }
-
-    /// [`Oracle::sinks`] over an explicit partition.
-    pub(crate) fn sinks_partition(&self, part: &SatPartition) -> Result<ObjSet> {
-        let (out, _, _) = self.sinks_partition_at(part, &SearchLimits::NONE, self.sink_ref())?;
-        Ok(out)
-    }
-
-    /// [`Oracle::sinks_partition`] with explicit limits and sink, also
-    /// returning the search diagnostics and counters.
-    pub(crate) fn sinks_partition_at(
+    /// All sinks of one partition's source set: `{ β | A ▷φ β }`.
+    pub(crate) fn sinks_partition(
         &self,
         part: &SatPartition,
         limits: &SearchLimits,
         sink: Option<&dyn Sink>,
-    ) -> Result<(ObjSet, SearchStats, TraceCounters)> {
+    ) -> Result<(ObjSet, TraceCounters)> {
         let u = self.sys.universe();
         let extractors: Vec<(ObjId, u64, u64)> = u
             .objects()
@@ -448,7 +364,7 @@ impl<'s> Oracle<'s> {
         let total = extractors.len();
         let mut out = ObjSet::empty();
         let mut count = 0usize;
-        let (_, stats, counters) = self.search_partition_at(part, limits, sink, |c1, c2| {
+        let (_, counters) = self.search_partition(part, limits, sink, |c1, c2| {
             for &(obj, stride, dom) in &extractors {
                 if !out.contains(obj) && (c1 / stride) % dom != (c2 / stride) % dom {
                     out.insert(obj);
@@ -457,88 +373,60 @@ impl<'s> Oracle<'s> {
             }
             count == total
         })?;
-        Ok((out, stats, counters))
+        Ok((out, counters))
     }
 
-    /// One [`Oracle::sinks`] row per source set, sharing the interned
-    /// Sat(φ) enumeration; rows run in parallel on scoped threads, each
-    /// borrowing buffers from the pool.
-    pub fn sinks_matrix(&self, phi: &Phi, sources: &[ObjSet]) -> Result<Vec<ObjSet>> {
-        let (rows, _, _) =
-            self.sinks_matrix_at(phi, sources, &SearchLimits::NONE, self.sink_ref())?;
-        Ok(rows)
-    }
-
-    /// [`Oracle::sinks_matrix`] with explicit limits and sink, aggregating
-    /// the per-row diagnostics (summed pairs/counters, max depth) for the
-    /// query report. The limits apply to each row's search independently;
-    /// the deadline is shared, so the whole matrix respects it.
-    pub(crate) fn sinks_matrix_at(
+    /// One sinks row per source set, sharing the interned Sat(φ)
+    /// enumeration; rows run in parallel on scoped threads, each
+    /// borrowing buffers from the pool. The rows' cost records are
+    /// folded into one (summed pairs and work, max depth). The limits
+    /// apply to each row's search independently; the deadline is shared,
+    /// so the whole matrix respects it.
+    pub(crate) fn sinks_matrix(
         &self,
         phi: &Phi,
         sources: &[ObjSet],
         limits: &SearchLimits,
         sink: Option<&dyn Sink>,
-    ) -> Result<(Vec<ObjSet>, SearchStats, TraceCounters)> {
-        let mut agg = SearchStats {
-            engine: self.engine_name(),
-            visited_pairs: 0,
-            levels: 0,
-        };
+    ) -> Result<(Vec<ObjSet>, TraceCounters)> {
         let mut totals = TraceCounters::default();
         if sources.is_empty() {
-            return Ok((Vec::new(), agg, totals));
+            return Ok((Vec::new(), totals));
         }
         let codes = self.sat_codes_at(phi, sink)?;
         let u = self.sys.universe();
-        let row = |src: &ObjSet| -> Result<(ObjSet, SearchStats, TraceCounters)> {
+        let row = |src: &ObjSet| -> Result<(ObjSet, TraceCounters)> {
             let part = SatPartition::from_codes(u, &codes, src);
-            self.sinks_partition_at(&part, limits, sink)
+            self.sinks_partition(&part, limits, sink)
         };
-        let chunked: Vec<Vec<Result<(ObjSet, SearchStats, TraceCounters)>>> =
+        let chunked: Vec<Vec<Result<(ObjSet, TraceCounters)>>> =
             par_map_chunks(sources, 1, |chunk| chunk.iter().map(&row).collect());
         let mut rows = Vec::with_capacity(sources.len());
         for res in chunked.into_iter().flatten() {
-            let (set, stats, counters) = res?;
-            agg.visited_pairs += stats.visited_pairs;
-            agg.levels = agg.levels.max(stats.levels);
+            let (set, counters) = res?;
             totals.absorb(counters);
             rows.push(set);
         }
-        Ok((rows, agg, totals))
+        Ok((rows, totals))
     }
 
-    /// Bounded-history variant of [`Oracle::depends`] (see
+    /// `A ▷φ β` over histories of length ≤ `max_len` (see
     /// [`crate::query::Query::bounded`]): one interned partition is
-    /// shared across every enumerated history.
-    pub fn depends_bounded(
-        &self,
-        phi: &Phi,
-        a: &ObjSet,
-        beta: ObjId,
-        max_len: usize,
-    ) -> Result<Option<DependsWitness>> {
-        self.depends_bounded_at(phi, a, beta, max_len, &SearchLimits::NONE)
-    }
-
-    /// [`Oracle::depends_bounded`] under [`SearchLimits`]: the deadline is
-    /// checked between enumerated histories (the pair budget does not
-    /// apply to bounded enumeration, which visits no pairs).
-    pub(crate) fn depends_bounded_at(
+    /// shared across every enumerated history. The deadline is checked
+    /// between histories (the pair budget does not apply to bounded
+    /// enumeration, which visits no pairs).
+    pub(crate) fn depends_bounded(
         &self,
         phi: &Phi,
         a: &ObjSet,
         beta: ObjId,
         max_len: usize,
         limits: &SearchLimits,
+        sink: Option<&dyn Sink>,
     ) -> Result<Option<DependsWitness>> {
-        let part = self.partition(phi, a)?;
+        let part = self.partition(phi, a, sink)?;
         for h in crate::history::histories_up_to(self.sys.num_ops(), max_len) {
-            if let Some(d) = limits.deadline {
-                if std::time::Instant::now() >= d {
-                    return Err(Error::DeadlineExceeded);
-                }
-            }
+            limits.check_deadline()?;
             if let Some(w) = depend::strongly_depends_after_with(self.sys, &part, beta, &h)? {
                 return Ok(Some(DependsWitness {
                     history: h,
@@ -577,6 +465,7 @@ impl<'s> Oracle<'s> {
 mod tests {
     use super::*;
     use crate::examples;
+    use crate::query::Query;
 
     #[test]
     fn one_compile_many_queries() {
@@ -586,12 +475,9 @@ mod tests {
         let sources: Vec<ObjSet> = u.objects().map(ObjSet::singleton).collect();
         for a in &sources {
             for beta in u.objects() {
-                let via_oracle = oracle.depends(&Phi::True, a, beta).unwrap();
-                let direct = crate::query::Query::new(Phi::True, a.clone())
-                    .beta(beta)
-                    .run_on(&sys)
-                    .unwrap()
-                    .into_witness();
+                let query = Query::new(Phi::True, a.clone()).beta(beta);
+                let via_oracle = query.run(&oracle).unwrap().into_witness();
+                let direct = query.run_on(&sys).unwrap().into_witness();
                 assert_eq!(
                     via_oracle
                         .as_ref()
@@ -622,24 +508,56 @@ mod tests {
         let sys = examples::flag_copy_system(3).unwrap();
         let u = sys.universe();
         let oracle =
-            Oracle::with_engine(&sys, Engine::Interpreted, &CompileBudget::default()).unwrap();
+            Oracle::with_engine(&sys, Engine::Interpreted, &CompileBudget::default(), None)
+                .unwrap();
         let a = ObjSet::singleton(u.objects().next().unwrap());
-        let (_, stats) = oracle
-            .depends_with_stats(&Phi::True, &a, u.objects().last().unwrap())
+        let out = Query::new(Phi::True, a)
+            .beta(u.objects().last().unwrap())
+            .run(&oracle)
             .unwrap();
-        assert_eq!(stats.engine, "interpreted");
+        assert_eq!(out.report.engine, "interpreted");
         assert_eq!(oracle.stats().compiles, 0);
     }
 
+    /// A matrix query's rows, answer and cost report both, equal its
+    /// per-row sinks queries on the same Oracle: pairs and expansions
+    /// add up, depth is the deepest row's.
     #[test]
     fn matrix_agrees_with_rows() {
-        let sys = examples::nontransitive_system(2).unwrap();
-        let u = sys.universe();
-        let oracle = Oracle::new(&sys).unwrap();
-        let sources: Vec<ObjSet> = u.objects().map(ObjSet::singleton).collect();
-        let rows = oracle.sinks_matrix(&Phi::True, &sources).unwrap();
-        for (a, row) in sources.iter().zip(&rows) {
-            assert_eq!(*row, oracle.sinks(&Phi::True, a).unwrap());
+        for (sys, engine, name) in [
+            (
+                examples::flag_copy_system(3).unwrap(),
+                Engine::CompiledDense,
+                "compiled-dense",
+            ),
+            (
+                examples::nontransitive_system(2).unwrap(),
+                Engine::CompiledSparse,
+                "compiled-sparse",
+            ),
+        ] {
+            let oracle =
+                Oracle::with_engine(&sys, engine, &CompileBudget::default(), None).unwrap();
+            assert_eq!(oracle.engine_name(), name);
+            let sources: Vec<ObjSet> = sys.universe().objects().map(ObjSet::singleton).collect();
+            let matrix = Query::matrix(Phi::True, sources.clone())
+                .run(&oracle)
+                .unwrap();
+            let report = matrix.report;
+            let rows = matrix.into_rows().unwrap();
+            let (mut pairs, mut expansions, mut levels) = (0, 0, 0);
+            for (a, row) in sources.iter().zip(&rows) {
+                let single = Query::new(Phi::True, a.clone()).run(&oracle).unwrap();
+                pairs += single.report.visited_pairs;
+                expansions += single.report.pair_expansions;
+                levels = levels.max(single.report.levels);
+                assert_eq!(*row, single.into_sinks().unwrap());
+            }
+            assert!(pairs > 0 && expansions > 0, "{name}: rows must search");
+            assert_eq!(report.visited_pairs, pairs, "{name}");
+            assert_eq!(report.pair_expansions, expansions, "{name}");
+            assert_eq!(report.levels, levels, "{name}");
+            assert_eq!(report.engine, oracle.engine_name());
         }
     }
 }

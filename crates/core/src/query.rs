@@ -7,8 +7,8 @@
 //! runs either one-shot ([`Query::run_on`] — builds a short-lived
 //! [`Oracle`] per call) or against a shared [`Oracle`]
 //! ([`Query::run`] — compile once, query many times). Both return a
-//! [`QueryOutcome`]: the answer, the search diagnostics, and a
-//! per-query [`QueryReport`] cost accounting.
+//! [`QueryOutcome`]: the answer and a per-query [`QueryReport`] cost
+//! accounting.
 //!
 //! # Examples
 //!
@@ -51,7 +51,7 @@ use crate::constraint::Phi;
 use crate::error::{Error, Result};
 use crate::fastmap::Fnv64;
 use crate::oracle::Oracle;
-use crate::reach::{DependsWitness, SearchLimits, SearchStats};
+use crate::reach::{DependsWitness, SearchLimits};
 use crate::system::System;
 use crate::telemetry::{QueryEvent, QueryReport, Sink};
 use crate::universe::{ObjId, ObjSet, Universe};
@@ -96,15 +96,11 @@ pub enum QueryAnswer {
     Matrix(Vec<ObjSet>),
 }
 
-/// Everything one query run produced: the answer, the engine's search
-/// diagnostics, and the cost report.
+/// Everything one query run produced: the answer and the cost report.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// The answer, shaped by the query's target.
     pub answer: QueryAnswer,
-    /// Search diagnostics — `None` when no pair search ran (bounded
-    /// enumeration, empty-target shortcuts).
-    pub stats: Option<SearchStats>,
     /// Per-query cost accounting.
     pub report: QueryReport,
 }
@@ -199,8 +195,6 @@ impl Query {
 
     /// Restricts the search to histories of length ≤ `max_len`
     /// (brute-force enumeration; only valid for β targets).
-    /// [`Oracle::depends_bounded`] takes the bound as its trailing
-    /// parameter to match.
     pub fn bounded(mut self, max_len: usize) -> Query {
         self.bound = Some(max_len);
         self
@@ -387,7 +381,6 @@ impl Query {
         };
         Some(QueryOutcome {
             answer,
-            stats: None,
             report: QueryReport::empty("none"),
         })
     }
@@ -400,11 +393,12 @@ impl Query {
         let partition_cached = !fresh && oracle.phi_interned(&self.phi);
         let fresh_compile = fresh && oracle.stats().compiles > 0;
         let start = Instant::now();
-        let (answer, stats, counters) = match (&self.target, self.bound) {
+        let limits = &self.limits;
+        let (answer, counters) = match (&self.target, self.bound) {
             (Target::Beta(beta), Some(max_len)) => {
                 let witness =
-                    oracle.depends_bounded_at(&self.phi, &self.a, *beta, max_len, &self.limits)?;
-                (QueryAnswer::Depends(witness), None, Default::default())
+                    oracle.depends_bounded(&self.phi, &self.a, *beta, max_len, limits, sink)?;
+                (QueryAnswer::Depends(witness), None)
             }
             (_, Some(_)) => {
                 return Err(Error::Invalid(
@@ -412,49 +406,40 @@ impl Query {
                 ))
             }
             (Target::Beta(beta), None) => {
-                let part = oracle.partition_at(&self.phi, &self.a, sink)?;
-                let (witness, stats, counters) =
-                    oracle.depends_partition_at(&part, *beta, &self.limits, sink)?;
-                (QueryAnswer::Depends(witness), Some(stats), counters)
+                let part = oracle.partition(&self.phi, &self.a, sink)?;
+                let (witness, counters) = oracle.depends_partition(&part, [*beta], limits, sink)?;
+                (QueryAnswer::Depends(witness), Some(counters))
             }
             (Target::Set(b), None) => {
-                let u = oracle.system().universe();
-                let targets: Vec<(u64, u64)> = b
-                    .iter()
-                    .map(|obj| crate::reach::extractor(u, obj))
-                    .collect();
-                let part = oracle.partition_at(&self.phi, &self.a, sink)?;
-                let (witness, stats, counters) =
-                    oracle.search_partition_at(&part, &self.limits, sink, move |c1, c2| {
-                        targets
-                            .iter()
-                            .all(|&(stride, dom)| (c1 / stride) % dom != (c2 / stride) % dom)
-                    })?;
-                (QueryAnswer::Depends(witness), Some(stats), counters)
+                let part = oracle.partition(&self.phi, &self.a, sink)?;
+                let (witness, counters) =
+                    oracle.depends_partition(&part, b.iter(), limits, sink)?;
+                (QueryAnswer::Depends(witness), Some(counters))
             }
             (Target::Sinks, None) => {
-                let part = oracle.partition_at(&self.phi, &self.a, sink)?;
-                let (set, stats, counters) =
-                    oracle.sinks_partition_at(&part, &self.limits, sink)?;
-                (QueryAnswer::Sinks(set), Some(stats), counters)
+                let part = oracle.partition(&self.phi, &self.a, sink)?;
+                let (set, counters) = oracle.sinks_partition(&part, limits, sink)?;
+                (QueryAnswer::Sinks(set), Some(counters))
             }
             (Target::Matrix(sources), None) => {
-                let (rows, stats, counters) =
-                    oracle.sinks_matrix_at(&self.phi, sources, &self.limits, sink)?;
-                (QueryAnswer::Matrix(rows), Some(stats), counters)
+                let (rows, counters) = oracle.sinks_matrix(&self.phi, sources, limits, sink)?;
+                (QueryAnswer::Matrix(rows), Some(counters))
             }
         };
+        // Bounded enumeration replays histories on the AST interpreter
+        // regardless of the oracle's tables, and visits no pairs.
+        let engine = if counters.is_some() {
+            oracle.engine_name()
+        } else {
+            "interpreted"
+        };
+        let counters = counters.unwrap_or_default();
         let report = QueryReport {
-            engine: match &stats {
-                Some(s) => s.engine,
-                // Bounded enumeration replays histories on the AST
-                // interpreter regardless of the oracle's tables.
-                None => "interpreted",
-            },
+            engine,
             wall_ns: start.elapsed().as_nanos() as u64,
-            visited_pairs: stats.as_ref().map_or(0, |s| s.visited_pairs),
+            visited_pairs: counters.visited_pairs,
             pair_expansions: counters.expansions,
-            levels: stats.as_ref().map_or(0, |s| s.levels),
+            levels: counters.levels,
             partition_cached,
             fresh_compile,
             rows_reused: counters.rows_reused,
@@ -463,11 +448,7 @@ impl Query {
         if let Some(s) = sink {
             s.record(&QueryEvent::QueryDone { report });
         }
-        Ok(QueryOutcome {
-            answer,
-            stats,
-            report,
-        })
+        Ok(QueryOutcome { answer, report })
     }
 }
 
@@ -490,14 +471,7 @@ mod tests {
             let src = ObjSet::singleton(a);
             let shared = Query::new(Phi::True, src.clone()).run(&oracle).unwrap();
             let oneshot = Query::new(Phi::True, src.clone()).run_on(&sys).unwrap();
-            assert_eq!(
-                shared.clone().into_sinks().unwrap(),
-                oneshot.into_sinks().unwrap()
-            );
-            assert_eq!(
-                shared.into_sinks().unwrap(),
-                oracle.sinks(&Phi::True, &src).unwrap()
-            );
+            assert_eq!(shared.into_sinks().unwrap(), oneshot.into_sinks().unwrap());
         }
         assert_eq!(oracle.stats().compiles, 1);
     }
@@ -528,7 +502,7 @@ mod tests {
         let out = Query::new(Phi::True, a).run_on(&sys).unwrap();
         assert!(out.report.fresh_compile);
         assert!(!out.report.partition_cached);
-        assert!(out.stats.is_some());
+        assert_ne!(out.report.engine, "none");
     }
 
     #[test]
@@ -537,7 +511,8 @@ mod tests {
         let u = sys.universe();
         let a = ObjSet::singleton(u.obj("alpha").unwrap());
         let oracle =
-            Oracle::with_engine(&sys, Engine::Interpreted, &CompileBudget::default()).unwrap();
+            Oracle::with_engine(&sys, Engine::Interpreted, &CompileBudget::default(), None)
+                .unwrap();
         let err = Query::new(Phi::True, a.clone())
             .engine(Engine::CompiledDense)
             .run(&oracle)

@@ -24,8 +24,9 @@
 //! the visited structure), not when it is dequeued, and both expand pairs
 //! in the same frontier × operation order. They are therefore
 //! observationally identical — same verdicts, same minimal witnesses, the
-//! same [`SearchStats`] counts, and the same first error on invalid
-//! systems.
+//! same visited-pair and depth counts (the `visited_pairs` and `levels`
+//! of [`crate::telemetry::QueryReport`]), and the same first error on
+//! invalid systems.
 //!
 //! The same search underlies sink queries (all β reachable from a source
 //! set, i.e. one row of the §3.6 worth measure) and batched matrix sweeps
@@ -63,24 +64,6 @@ pub struct DependsWitness {
     pub sigma2: State,
 }
 
-/// Diagnostics from one pair search.
-///
-/// `visited_pairs` counts the distinct canonical pairs *discovered*.
-/// Every engine checks the goal at discovery time and stops immediately,
-/// so the count is engine-independent on early-exit searches just as on
-/// exhaustive ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchStats {
-    /// Which engine ran: `"interpreted"`, `"compiled-dense"` or
-    /// `"compiled-sparse"`.
-    pub engine: &'static str,
-    /// Distinct canonical state pairs discovered.
-    pub visited_pairs: u64,
-    /// Deepest BFS level reached (= witness history length when the
-    /// search stopped at a goal pair).
-    pub levels: u32,
-}
-
 /// Caller-imposed cut-offs on one pair search: a visited-pair budget
 /// and/or a wall-clock deadline. The default imposes neither.
 ///
@@ -92,29 +75,24 @@ pub struct SearchStats {
 /// BFS level (or per enumerated history for bounded queries), bounding
 /// overshoot by a single level's expansion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SearchLimits {
+pub(crate) struct SearchLimits {
     /// Maximum distinct pairs the search may discover. A pair that
     /// satisfies the goal is always reported, even as the last one in
     /// budget.
-    pub max_pairs: Option<u64>,
+    pub(crate) max_pairs: Option<u64>,
     /// Wall-clock deadline for the search.
-    pub deadline: Option<std::time::Instant>,
+    pub(crate) deadline: Option<std::time::Instant>,
 }
 
 impl SearchLimits {
     /// No limits: run to completion.
-    pub const NONE: SearchLimits = SearchLimits {
+    pub(crate) const NONE: SearchLimits = SearchLimits {
         max_pairs: None,
         deadline: None,
     };
 
-    /// Whether any cut-off is configured.
-    pub fn is_none(&self) -> bool {
-        self.max_pairs.is_none() && self.deadline.is_none()
-    }
-
     #[inline]
-    fn check_deadline(&self) -> Result<()> {
+    pub(crate) fn check_deadline(&self) -> Result<()> {
         match self.deadline {
             Some(d) if std::time::Instant::now() >= d => Err(Error::DeadlineExceeded),
             _ => Ok(()),
@@ -180,7 +158,7 @@ pub(crate) fn interpreted_search(
     limits: &SearchLimits,
     trace: &mut Trace<'_>,
     mut found: impl FnMut(u64, u64) -> bool,
-) -> Result<(Option<DependsWitness>, SearchStats)> {
+) -> Result<Option<DependsWitness>> {
     let u = sys.universe();
     let num_ops = sys.num_ops() as u64;
     let tracing = trace.sink.is_some();
@@ -223,14 +201,9 @@ pub(crate) fn interpreted_search(
                 bump_depth(&mut depth_counts, 0);
             }
             if found(p.0, p.1) {
-                let w = witness(&parent, p);
-                let stats = SearchStats {
-                    engine: "interpreted",
-                    visited_pairs: parent.len() as u64,
-                    levels,
-                };
+                trace.finish(parent.len() as u64, levels);
                 trace.emit(|| QueryEvent::Witness { length: levels });
-                return Ok((Some(w), stats));
+                return Ok(Some(witness(&parent, p)));
             }
             limits.check_pairs(parent.len() as u64)?;
             queue.push_back((p, 0));
@@ -272,26 +245,17 @@ pub(crate) fn interpreted_search(
                     bump_depth(&mut depth_counts, depth as usize + 1);
                 }
                 if found(next.0, next.1) {
-                    let w = witness(&parent, next);
-                    let stats = SearchStats {
-                        engine: "interpreted",
-                        visited_pairs: parent.len() as u64,
-                        levels,
-                    };
+                    trace.finish(parent.len() as u64, levels);
                     trace.emit(|| QueryEvent::Witness { length: levels });
-                    return Ok((Some(w), stats));
+                    return Ok(Some(witness(&parent, next)));
                 }
                 limits.check_pairs(parent.len() as u64)?;
                 queue.push_back((next, depth + 1));
             }
         }
     }
-    let stats = SearchStats {
-        engine: "interpreted",
-        visited_pairs: parent.len() as u64,
-        levels,
-    };
-    Ok((None, stats))
+    trace.finish(parent.len() as u64, levels);
+    Ok(None)
 }
 
 /// A discovered pair in the compiled search: packed canonical pair key
@@ -418,14 +382,10 @@ pub(crate) fn compiled_search(
     limits: &SearchLimits,
     trace: &mut Trace<'_>,
     mut found: impl FnMut(u64, u64) -> bool,
-) -> Result<(Option<DependsWitness>, SearchStats)> {
+) -> Result<Option<DependsWitness>> {
     let u = cs.system().universe();
     let ns = cs.state_count();
     let num_ops = cs.num_ops();
-    let engine = match cs.kind() {
-        TableKind::Dense => "compiled-dense",
-        TableKind::Sparse => "compiled-sparse",
-    };
     bufs.reset();
     let SearchBuffers {
         visited,
@@ -452,13 +412,9 @@ pub(crate) fn compiled_search(
         }
         let idx = push_node(nodes, key, NO_PARENT, 0)?;
         if found(key / ns, key % ns) {
-            let stats = SearchStats {
-                engine,
-                visited_pairs: nodes.len() as u64,
-                levels: 0,
-            };
+            trace.finish(nodes.len() as u64, 0);
             trace.emit(|| QueryEvent::Witness { length: 0 });
-            return Ok((Some(reconstruct_compiled(u, nodes, idx, ns)), stats));
+            return Ok(Some(reconstruct_compiled(u, nodes, idx, ns)));
         }
         limits.check_pairs(nodes.len() as u64)?;
     }
@@ -564,24 +520,16 @@ pub(crate) fn compiled_search(
                 levels = depth;
                 let idx = push_node(nodes, cand.key, cand.parent, cand.op)?;
                 if found(cand.key / ns, cand.key % ns) {
-                    let stats = SearchStats {
-                        engine,
-                        visited_pairs: nodes.len() as u64,
-                        levels,
-                    };
+                    trace.finish(nodes.len() as u64, levels);
                     trace.emit(|| QueryEvent::Witness { length: levels });
-                    return Ok((Some(reconstruct_compiled(u, nodes, idx, ns)), stats));
+                    return Ok(Some(reconstruct_compiled(u, nodes, idx, ns)));
                 }
                 limits.check_pairs(nodes.len() as u64)?;
             }
         }
     }
-    let stats = SearchStats {
-        engine,
-        visited_pairs: nodes.len() as u64,
-        levels,
-    };
-    Ok((None, stats))
+    trace.finish(nodes.len() as u64, levels);
+    Ok(None)
 }
 
 /// State spaces at or above this size cannot use packed `u64` pair keys;
@@ -628,6 +576,7 @@ mod tests {
     use crate::expr::Expr;
     use crate::op::{Cmd, Op};
     use crate::query::Query;
+    use crate::telemetry::QueryReport;
     use crate::universe::{Domain, ObjSet, Universe};
 
     const ENGINES: [Engine; 4] = [
@@ -748,7 +697,7 @@ mod tests {
     }
 
     #[test]
-    fn depends_set_needs_simultaneous_difference() {
+    fn set_target_needs_simultaneous_difference() {
         let sys = flag_sys();
         let u = sys.universe();
         let a = u.obj("alpha").unwrap();
@@ -863,73 +812,66 @@ mod tests {
             .is_empty());
     }
 
+    /// Runs one engine directly and returns its `(visited_pairs, levels)`
+    /// count alongside the witness.
+    fn search_counts(
+        cs: Option<&CompiledSystem<'_>>,
+        sys: &System,
+        part: &SatPartition,
+        bufs: &mut SearchBuffers,
+        found: impl FnMut(u64, u64) -> bool,
+    ) -> (Option<DependsWitness>, (u64, u32)) {
+        let mut trace = Trace::disabled();
+        let witness = match cs {
+            None => interpreted_search(sys, part, &SearchLimits::NONE, &mut trace, found),
+            Some(cs) => compiled_search(cs, part, bufs, &SearchLimits::NONE, &mut trace, found),
+        }
+        .unwrap();
+        (
+            witness,
+            (trace.counters.visited_pairs, trace.counters.levels),
+        )
+    }
+
     #[test]
-    fn stats_report_engine_and_depth() {
+    fn report_counts_engine_and_depth() {
         let sys = flag_sys();
         let u = sys.universe();
         let a = ObjSet::singleton(u.obj("alpha").unwrap());
         let b = u.obj("beta").unwrap();
         let budget = CompileBudget::default();
-        let mut early: Vec<SearchStats> = Vec::new();
+        let mut early: Vec<QueryReport> = Vec::new();
         for (engine, name) in [
             (Engine::Interpreted, "interpreted"),
             (Engine::CompiledDense, "compiled-dense"),
             (Engine::CompiledSparse, "compiled-sparse"),
         ] {
             let out = q(&Phi::True, &a, b).engine(engine).run_on(&sys).unwrap();
-            let stats = out.stats.unwrap();
-            assert_eq!(stats.engine, name);
-            assert_eq!(stats.engine, out.report.engine);
-            assert!(stats.visited_pairs > 0);
-            assert!(out.report.pair_expansions > 0);
+            let report = out.report;
+            assert_eq!(report.engine, name);
+            assert!(report.visited_pairs > 0);
+            assert!(report.pair_expansions > 0);
             assert_eq!(
-                stats.levels as usize,
+                report.levels as usize,
                 out.into_witness().unwrap().history.len()
             );
-            early.push(stats);
+            early.push(report);
         }
         // Every engine goal-checks at discovery, so early-exit searches
         // count the same pairs and depth.
-        for stats in &early[1..] {
-            assert_eq!(stats.visited_pairs, early[0].visited_pairs);
-            assert_eq!(stats.levels, early[0].levels);
+        for report in &early[1..] {
+            assert_eq!(report.visited_pairs, early[0].visited_pairs);
+            assert_eq!(report.levels, early[0].levels);
         }
-        // Exhaustive searches count exactly the same reachable pairs.
+        // Exhaustive searches count exactly the same reachable pairs: a
+        // goal that never triggers keeps the sweep exhaustive.
         let ns = sys.state_count().unwrap();
-        let exhausted: Vec<SearchStats> = [Engine::Interpreted, Engine::CompiledDense]
-            .into_iter()
-            .map(|engine| {
-                // A goal that never triggers: β differing at an impossible
-                // index keeps the sweep exhaustive.
-                let part = SatPartition::new(&sys, &Phi::True, &a).unwrap();
-                if engine == Engine::Interpreted {
-                    interpreted_search(
-                        &sys,
-                        &part,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        |_, _| false,
-                    )
-                    .unwrap()
-                    .1
-                } else {
-                    let cs = CompiledSystem::compile(&sys, engine, &budget).unwrap();
-                    let mut bufs = SearchBuffers::new(ns, &budget);
-                    compiled_search(
-                        &cs,
-                        &part,
-                        &mut bufs,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        |_, _| false,
-                    )
-                    .unwrap()
-                    .1
-                }
-            })
-            .collect();
-        assert_eq!(exhausted[0].visited_pairs, exhausted[1].visited_pairs);
-        assert_eq!(exhausted[0].levels, exhausted[1].levels);
+        let part = SatPartition::new(&sys, &Phi::True, &a).unwrap();
+        let cs = CompiledSystem::compile(&sys, Engine::CompiledDense, &budget).unwrap();
+        let mut bufs = SearchBuffers::new(ns, &budget);
+        let (_, interpreted) = search_counts(None, &sys, &part, &mut bufs, |_, _| false);
+        let (_, compiled) = search_counts(Some(&cs), &sys, &part, &mut bufs, |_, _| false);
+        assert_eq!(interpreted, compiled);
     }
 
     #[test]
@@ -943,6 +885,10 @@ mod tests {
         let budget = CompileBudget::default();
         let ns = sys.state_count().unwrap();
         let (b_stride, b_dom) = extractor(u, b);
+        let goal = |c1: u64, c2: u64| (c1 / b_stride) % b_dom != (c2 / b_stride) % b_dom;
+        let fields = |(w, counts): (Option<DependsWitness>, (u64, u32))| {
+            (w.map(|w| (w.history, w.sigma1, w.sigma2)), counts)
+        };
         for engine in [Engine::CompiledDense, Engine::CompiledSparse] {
             let cs = CompiledSystem::compile(&sys, engine, &budget).unwrap();
             let mut reused = SearchBuffers::new(ns, &budget);
@@ -950,55 +896,16 @@ mod tests {
                 for src in ["alpha", "beta", "flag", "x"] {
                     let a = ObjSet::singleton(u.obj(src).unwrap());
                     let part = SatPartition::new(&sys, &Phi::True, &a).unwrap();
-                    // Early-exit search (leaves the buffers mid-sweep).
-                    let goal =
-                        |c1: u64, c2: u64| (c1 / b_stride) % b_dom != (c2 / b_stride) % b_dom;
+                    // Early-exit search (leaves the buffers mid-sweep),
+                    // then an exhaustive one.
                     let mut fresh = SearchBuffers::new(ns, &budget);
-                    let want = compiled_search(
-                        &cs,
-                        &part,
-                        &mut fresh,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        goal,
-                    )
-                    .unwrap();
-                    let got = compiled_search(
-                        &cs,
-                        &part,
-                        &mut reused,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        goal,
-                    )
-                    .unwrap();
-                    assert_eq!(got.1, want.1, "stats diverge for {src} / {engine:?}");
-                    assert_eq!(
-                        got.0.map(|w| (w.history, w.sigma1, w.sigma2)),
-                        want.0.map(|w| (w.history, w.sigma1, w.sigma2)),
-                        "witness diverges for {src} / {engine:?}"
-                    );
-                    // Exhaustive search.
+                    let want = search_counts(Some(&cs), &sys, &part, &mut fresh, goal);
+                    let got = search_counts(Some(&cs), &sys, &part, &mut reused, goal);
+                    assert_eq!(fields(got), fields(want), "diverges for {src} / {engine:?}");
                     let mut fresh = SearchBuffers::new(ns, &budget);
-                    let want = compiled_search(
-                        &cs,
-                        &part,
-                        &mut fresh,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        |_, _| false,
-                    )
-                    .unwrap();
-                    let got = compiled_search(
-                        &cs,
-                        &part,
-                        &mut reused,
-                        &SearchLimits::NONE,
-                        &mut Trace::disabled(),
-                        |_, _| false,
-                    )
-                    .unwrap();
-                    assert_eq!(got.1, want.1, "exhaustive stats diverge for {src}");
+                    let want = search_counts(Some(&cs), &sys, &part, &mut fresh, |_, _| false);
+                    let got = search_counts(Some(&cs), &sys, &part, &mut reused, |_, _| false);
+                    assert_eq!(got.1, want.1, "exhaustive counts diverge for {src}");
                 }
             }
         }
@@ -1017,7 +924,7 @@ mod tests {
             max_dense_pair_bits: 0,
         };
         let out = q(&Phi::True, &a, b).budget(tiny).run_on(&sys).unwrap();
-        assert_eq!(out.stats.unwrap().engine, "compiled-sparse");
+        assert_eq!(out.report.engine, "compiled-sparse");
         assert!(out.holds());
     }
 }

@@ -15,6 +15,7 @@ use crate::depend::SatPartition;
 use crate::error::{Error, Result};
 use crate::oracle::Oracle;
 use crate::problem::Problem;
+use crate::reach::SearchLimits;
 use crate::system::System;
 use crate::universe::{ObjId, ObjSet};
 
@@ -80,7 +81,7 @@ pub fn unique_maximal_independent_solution_with(
 ) -> Result<Phi> {
     let sys = oracle.system();
     let n = sys.state_count()?;
-    let partition = oracle.partition(&Phi::True, sources)?;
+    let partition = oracle.partition(&Phi::True, sources, oracle.sink_ref())?;
     let classes = partition.classes();
     // Initial pairs never cross cylinders, so each class is decided by
     // its own single-class search; the sweep is embarrassingly parallel.
@@ -89,7 +90,7 @@ pub fn unique_maximal_independent_solution_with(
             .iter()
             .map(|class| -> Result<bool> {
                 let part = SatPartition::from_classes(vec![class.clone()]);
-                Ok(oracle.depends_partition(&part, sink)?.0.is_none())
+                no_flow(oracle, &part, sink)
             })
             .collect::<Vec<_>>()
     })
@@ -105,6 +106,14 @@ pub fn unique_maximal_independent_solution_with(
         }
     }
     Ok(Phi::from_set(solution))
+}
+
+/// Whether `A ▷ β` fails over one explicit partition, searched on the
+/// shared Oracle.
+fn no_flow(oracle: &Oracle<'_>, part: &SatPartition, beta: ObjId) -> Result<bool> {
+    let (witness, _) =
+        oracle.depends_partition(part, [beta], &SearchLimits::NONE, oracle.sink_ref())?;
+    Ok(witness.is_none())
 }
 
 /// Checks one instance of the join property (§3.5):
@@ -192,7 +201,7 @@ pub fn maximal_value_constraints(
                 }
                 codes.sort_unstable();
                 let part = SatPartition::from_codes(u, &codes, &a);
-                Ok(oracle.depends_partition(&part, beta)?.0.is_none())
+                no_flow(&oracle, &part, beta)
             })
             .collect::<Vec<_>>()
     })

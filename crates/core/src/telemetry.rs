@@ -21,7 +21,7 @@
 //! # Sink lifecycle and overhead
 //!
 //! A sink is attached when an [`crate::oracle::Oracle`] is constructed
-//! ([`crate::oracle::Oracle::with_sink`]) or per query
+//! ([`crate::oracle::Oracle::with_engine`]) or per query
 //! ([`crate::query::Query::sink`]); construction-time attachment is the
 //! only way to observe compile events, which fire before any query
 //! runs. Internally the sink is an `Option`: when absent (the default —
@@ -310,8 +310,14 @@ impl<W: Write + Send> Sink for JsonLinesSink<W> {
     }
 }
 
-/// Hot-path counters accumulated by one search, independent of whether a
-/// sink is attached (plain integer adds).
+/// The one cost record of a search, accumulated on the hot path whether
+/// or not a sink is attached (plain integer adds). [`QueryReport`] is
+/// built from it alone.
+///
+/// `visited_pairs` counts the distinct canonical pairs *discovered*.
+/// Every engine checks the goal at discovery time and stops immediately,
+/// so the count is engine-independent on early-exit searches just as on
+/// exhaustive ones.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct TraceCounters {
     /// Pair expansions attempted (frontier pairs × operations).
@@ -320,13 +326,22 @@ pub(crate) struct TraceCounters {
     pub rows_reused: u64,
     /// Sparse successor rows interpreted and memoised.
     pub rows_materialized: u64,
+    /// Distinct canonical state pairs discovered.
+    pub visited_pairs: u64,
+    /// Deepest BFS level reached (= witness history length when the
+    /// search stopped at a goal pair).
+    pub levels: u32,
 }
 
 impl TraceCounters {
+    /// Folds another search's counts in: work and discoveries add up,
+    /// depth is the maximum (a matrix query's rows).
     pub(crate) fn absorb(&mut self, other: TraceCounters) {
         self.expansions += other.expansions;
         self.rows_reused += other.rows_reused;
         self.rows_materialized += other.rows_materialized;
+        self.visited_pairs += other.visited_pairs;
+        self.levels = self.levels.max(other.levels);
     }
 }
 
@@ -352,6 +367,13 @@ impl<'a> Trace<'a> {
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn disabled() -> Trace<'static> {
         Trace::new(None)
+    }
+
+    /// Records a finished search's size: pairs discovered and deepest
+    /// level reached.
+    pub(crate) fn finish(&mut self, visited_pairs: u64, levels: u32) {
+        self.counters.visited_pairs = visited_pairs;
+        self.counters.levels = levels;
     }
 
     /// Records the event produced by `make` iff a sink is attached.

@@ -80,7 +80,7 @@ fn depends(
     run(Query::new(phi.clone(), a.clone()).beta(beta), engine, sys).into_witness()
 }
 
-fn depends_set(
+fn set_target(
     sys: &System,
     phi: &Phi,
     a: &ObjSet,
@@ -138,10 +138,10 @@ fn check_configuration(sys: &System, phi: &Phi, a: &ObjSet) {
     }
     // Set target: the first two objects simultaneously.
     let b: ObjSet = objects.iter().take(2).copied().collect();
-    let reference = witness_fields(depends_set(sys, phi, a, &b, Engine::Interpreted));
+    let reference = witness_fields(set_target(sys, phi, a, &b, Engine::Interpreted));
     for engine in COMPILED {
-        let got = witness_fields(depends_set(sys, phi, a, &b, engine));
-        assert_eq!(got, reference, "depends_set mismatch: {engine:?}");
+        let got = witness_fields(set_target(sys, phi, a, &b, engine));
+        assert_eq!(got, reference, "set-target mismatch: {engine:?}");
     }
     // Sinks row.
     let reference = sinks(sys, phi, a, Engine::Interpreted);

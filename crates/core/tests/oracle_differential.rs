@@ -415,8 +415,12 @@ fn oracle_depends_matches_interpreted() {
         let oracle = Oracle::new(&sys).unwrap();
         for &beta in &ids {
             let reference = witness_fields(interp_depends(&sys, &phi, &a, beta));
-            let got = witness_fields(oracle.depends(&phi, &a, beta).unwrap());
-            assert_eq!(got, reference, "oracle.depends mismatch at seed {seed}");
+            let got = Query::new(phi.clone(), a.clone())
+                .beta(beta)
+                .run(&oracle)
+                .unwrap();
+            let got = witness_fields(got.into_witness());
+            assert_eq!(got, reference, "oracle depends mismatch at seed {seed}");
         }
         let b: ObjSet = ids.iter().take(2).copied().collect();
         let reference = witness_fields(
@@ -428,8 +432,12 @@ fn oracle_depends_matches_interpreted() {
                 .unwrap()
                 .into_witness(),
         );
-        let got = witness_fields(oracle.depends_set(&phi, &a, &b).unwrap());
-        assert_eq!(got, reference, "oracle.depends_set mismatch at seed {seed}");
+        let got = Query::new(phi.clone(), a.clone())
+            .set(b)
+            .run(&oracle)
+            .unwrap();
+        let got = witness_fields(got.into_witness());
+        assert_eq!(got, reference, "oracle set-target mismatch at seed {seed}");
         let reference = Query::new(phi.clone(), a.clone())
             .engine(Engine::Interpreted)
             .budget(BUDGET)
@@ -437,8 +445,12 @@ fn oracle_depends_matches_interpreted() {
             .unwrap()
             .into_sinks()
             .expect("a sinks query returns a sink set");
-        let got = oracle.sinks(&phi, &a).unwrap();
-        assert_eq!(got, reference, "oracle.sinks mismatch at seed {seed}");
+        let got = Query::new(phi.clone(), a.clone())
+            .run(&oracle)
+            .unwrap()
+            .into_sinks()
+            .expect("a sinks query returns a sink set");
+        assert_eq!(got, reference, "oracle sinks mismatch at seed {seed}");
         // One compile serves every query above.
         assert!(oracle.stats().compiles <= 1);
     }

@@ -13,21 +13,30 @@ fn sources_of(sys: &sd_core::System) -> Vec<ObjSet> {
     sys.universe().objects().map(ObjSet::singleton).collect()
 }
 
+/// The sinks rows of every source set under `Phi::True`, on `oracle`.
+fn matrix(oracle: &Oracle<'_>, sources: Vec<ObjSet>) -> Vec<ObjSet> {
+    Query::matrix(Phi::True, sources)
+        .run(oracle)
+        .unwrap()
+        .into_rows()
+        .unwrap()
+}
+
 /// Cold sweep: a fresh instrumented Oracle compiles once, misses the
 /// partition cache once, and never reports a hit.
 #[test]
 fn cold_matrix_sweep_compiles_once_and_misses_once() {
     let sys = examples::flag_copy_system(3).unwrap();
     let sink = Arc::new(RecordingSink::new());
-    let oracle = Oracle::with_sink(
+    let oracle = Oracle::with_engine(
         &sys,
         Engine::Auto,
         &CompileBudget::default(),
-        sink.clone() as Arc<dyn sd_core::Sink>,
+        Some(sink.clone() as Arc<dyn sd_core::Sink>),
     )
     .unwrap();
 
-    let rows = oracle.sinks_matrix(&Phi::True, &sources_of(&sys)).unwrap();
+    let rows = matrix(&oracle, sources_of(&sys));
     assert_eq!(rows.len(), sys.universe().num_objects());
 
     let compile_starts = sink.count(|e| matches!(e, QueryEvent::CompileStart { .. }));
@@ -69,17 +78,17 @@ fn cold_matrix_sweep_compiles_once_and_misses_once() {
 fn warm_matrix_sweep_hits_partition_cache_without_recompiling() {
     let sys = examples::flag_copy_system(3).unwrap();
     let sink = Arc::new(RecordingSink::new());
-    let oracle = Oracle::with_sink(
+    let oracle = Oracle::with_engine(
         &sys,
         Engine::Auto,
         &CompileBudget::default(),
-        sink.clone() as Arc<dyn sd_core::Sink>,
+        Some(sink.clone() as Arc<dyn sd_core::Sink>),
     )
     .unwrap();
     let sources = sources_of(&sys);
 
-    let cold = oracle.sinks_matrix(&Phi::True, &sources).unwrap();
-    let warm = oracle.sinks_matrix(&Phi::True, &sources).unwrap();
+    let cold = matrix(&oracle, sources.clone());
+    let warm = matrix(&oracle, sources);
     assert_eq!(cold, warm, "warm answers must be identical");
 
     assert!(

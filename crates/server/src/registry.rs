@@ -135,11 +135,8 @@ impl Registry {
             ));
         }
         let system: &'static System = Box::leak(Box::new(build_system(desc)?));
-        let oracle = match &self.sink {
-            Some(sink) => Oracle::with_sink(system, Engine::Auto, &self.budget, Arc::clone(sink)),
-            None => Oracle::with_engine(system, Engine::Auto, &self.budget),
-        }
-        .map_err(|e| WireError::new(ErrorKind::Invalid, e.to_string()))?;
+        let oracle = Oracle::with_engine(system, Engine::Auto, &self.budget, self.sink.clone())
+            .map_err(|e| WireError::new(ErrorKind::Invalid, e.to_string()))?;
         let entry = Arc::new(SystemEntry {
             key,
             desc: desc.describe(),

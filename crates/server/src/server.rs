@@ -41,7 +41,7 @@
 //! requests therefore complete normally while the server drains — the
 //! robustness property the e2e tests pin.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
@@ -396,41 +396,26 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 }
 
 /// Reads one newline-terminated line of at most `max` bytes. Returns
-/// `Ok(None)` on a clean EOF, `Err(Some(err))` when the line was too
+/// `Ok(None)` on a clean EOF, `Ok(Err(err))` when the line was too
 /// long (the rest of the line is consumed so the connection stays
-/// usable).
+/// usable) or not UTF-8. One trailing `\r` is stripped.
 fn read_bounded_line(
     reader: &mut BufReader<TcpStream>,
     max: usize,
 ) -> std::io::Result<Result<Option<String>, WireError>> {
     let mut buf: Vec<u8> = Vec::new();
-    let mut overflow = false;
-    loop {
-        let mut byte = [0u8; 1];
-        let n = loop {
-            match reader.read(&mut byte) {
-                Ok(n) => break n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        };
-        if n == 0 {
-            if buf.is_empty() && !overflow {
-                return Ok(Ok(None));
-            }
-            break;
-        }
-        if byte[0] == b'\n' {
-            break;
-        }
-        if buf.len() >= max {
-            overflow = true;
-            buf.clear(); // keep consuming to the newline, discard payload
-            continue;
-        }
-        buf.push(byte[0]);
+    // One byte over the limit tells a full-length line from a long one.
+    let n = reader
+        .by_ref()
+        .take(max as u64 + 1)
+        .read_until(b'\n', &mut buf)?;
+    if n == 0 {
+        return Ok(Ok(None));
     }
-    if overflow {
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > max {
+        reader.skip_until(b'\n')?;
         return Ok(Err(WireError::new(
             ErrorKind::TooLarge,
             format!("frame exceeds limit of {max} bytes"),
@@ -448,6 +433,14 @@ fn read_bounded_line(
             "request is not valid UTF-8",
         ))),
     }
+}
+
+/// Sends one response line in a single write. `writeln!` on the
+/// unbuffered socket would write the body and the `\n` separately: two
+/// syscalls, and two segments under `TCP_NODELAY`.
+fn write_line(writer: &mut TcpStream, response: &mut String) -> std::io::Result<()> {
+    response.push('\n');
+    writer.write_all(response.as_bytes())
 }
 
 fn put_id(j: &mut JsonBuf, id: Option<u64>) {
@@ -622,8 +615,8 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
             Ok(Some(line)) => (line, RequestTrace::start()),
             Err(err) => {
                 let mut trace = RequestTrace::start();
-                let done = Done::err(Method::Unknown, None, &err);
-                let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
+                let mut done = Done::err(Method::Unknown, None, &err);
+                let wres = trace.time(Phase::Write, || write_line(&mut writer, &mut done.response));
                 shared.observe_and_log(None, &done, &trace);
                 wres?;
                 continue;
@@ -635,15 +628,15 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
         let frame = match trace.time(Phase::Parse, || proto::parse_frame(&line)) {
             Ok(frame) => frame,
             Err(err) => {
-                let done = Done::err(Method::Unknown, None, &err);
-                let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
+                let mut done = Done::err(Method::Unknown, None, &err);
+                let wres = trace.time(Phase::Write, || write_line(&mut writer, &mut done.response));
                 shared.observe_and_log(None, &done, &trace);
                 wres?;
                 continue;
             }
         };
         let id = frame.id;
-        let done = match frame.req {
+        let mut done = match frame.req {
             Request::Ping => Done::ok(Method::Ping, flag_response(id, "pong")),
             Request::Metrics { prom } => Done::ok(
                 Method::Metrics,
@@ -660,7 +653,7 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
             Request::Register(desc) => handle_register(shared, id, &desc, &mut trace),
             Request::Query(q) => handle_query(shared, id, q, &mut trace),
         };
-        let wres = trace.time(Phase::Write, || writeln!(writer, "{}", done.response));
+        let wres = trace.time(Phase::Write, || write_line(&mut writer, &mut done.response));
         // Observe after the write so the trace's write phase and total
         // cover the full request. A scrape therefore does not count
         // itself — the mix a test issues is exactly what it reads back.

@@ -152,8 +152,8 @@ fn malformed_frames_keep_the_connection_usable() {
     let stream = TcpStream::connect(handle.local_addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    let mut roundtrip = |line: &str| -> String {
-        writeln!(writer, "{line}").unwrap();
+    let mut roundtrip = |frame: &[u8]| -> String {
+        writer.write_all(frame).unwrap();
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
         resp
@@ -168,20 +168,38 @@ fn malformed_frames_keep_the_connection_usable() {
             "unknown_system",
         ),
     ] {
-        let resp = roundtrip(line);
+        let resp = roundtrip(format!("{line}\n").as_bytes());
         assert!(resp.contains(r#""ok":false"#), "{resp}");
         assert!(resp.contains(&format!(r#""kind":"{kind}""#)), "{resp}");
     }
 
-    // Oversized frame (max_frame is 4096 in the test config).
-    let big = format!(r#"{{"method":"ping","pad":"{}"}}"#, "z".repeat(8192));
-    let resp = roundtrip(&big);
-    assert!(resp.contains(r#""kind":"too_large""#), "{resp}");
-
-    // The connection still works.
-    let resp = roundtrip(r#"{"id":7,"method":"ping"}"#);
-    assert!(resp.contains(r#""ok":true"#), "{resp}");
-    assert!(resp.contains(r#""id":7"#), "{resp}");
+    // Framing edge cases (max_frame is 4096 in the test config): a ping
+    // padded to `len` bytes before its newline.
+    let padded_ping = |len: usize| {
+        let (head, tail) = (r#"{"method":"ping","pad":""#, r#""}"#);
+        let pad = "z".repeat(len - head.len() - tail.len());
+        format!("{head}{pad}{tail}\n").into_bytes()
+    };
+    for (frame, kind) in [
+        (padded_ping(4096), None),
+        (padded_ping(4097), Some("too_large")),
+        (padded_ping(8192), Some("too_large")),
+        (b"{\"method\":\"ping\"}\r\n".to_vec(), None),
+        (b"\xff\xfe{\"method\":\"ping\"}\n".to_vec(), Some("parse")),
+    ] {
+        let resp = roundtrip(&frame);
+        match kind {
+            None => assert!(resp.contains(r#""pong""#), "{resp}"),
+            Some(kind) => {
+                assert!(resp.contains(r#""ok":false"#), "{resp}");
+                assert!(resp.contains(&format!(r#""kind":"{kind}""#)), "{resp}");
+            }
+        }
+        // The connection still works.
+        let resp = roundtrip(b"{\"id\":7,\"method\":\"ping\"}\n");
+        assert!(resp.contains(r#""ok":true"#), "{resp}");
+        assert!(resp.contains(r#""id":7"#), "{resp}");
+    }
     handle.shutdown();
 }
 
