@@ -7,7 +7,11 @@
 //!          [--access-log PATH|-] [--telemetry]
 //! ```
 //!
-//! Runs until a client sends `shutdown`. `--access-log -` writes the
+//! Runs until a client sends `shutdown`, then exits once the queries
+//! already admitted have finished. Each connection runs its own
+//! queries: `--workers` caps how many run at once (default 4) and
+//! `--queue-depth` how many may wait for a slot (default 64); a query
+//! beyond both is refused with `overloaded`. `--access-log -` writes the
 //! JSON-lines access log to stderr; `--telemetry` streams query
 //! telemetry events (compiles, Sat(φ) partition hits/misses, per-query
 //! reports)
@@ -30,7 +34,9 @@ fn usage() -> ExitCode {
         "usage: sdserved [--addr HOST:PORT] [--workers N] [--queue-depth N] \
          [--cache-cap N] [--registry-cap N] [--max-timeout-ms N] \
          [--slow-ms N] [--slowlog-cap N] [--no-metrics] \
-         [--access-log PATH|-] [--telemetry]"
+         [--access-log PATH|-] [--telemetry]\n\
+         --workers N       queries that may run at once (default 4)\n\
+         --queue-depth N   queries that may wait for a slot (default 64)"
     );
     ExitCode::from(2)
 }

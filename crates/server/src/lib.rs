@@ -26,8 +26,9 @@
 //!   counters, cold/warm latency histograms, six-phase request traces,
 //!   rolled-up query-cost counters, the slow-query ring, and one
 //!   family table rendered as both the JSON and the Prometheus scrape;
-//! - [`server`] — the TCP daemon: bounded admission queue, fixed worker
-//!   pool, per-request deadlines/budgets, graceful draining shutdown,
+//! - [`server`] — the TCP daemon: a blocking accept loop, queries run
+//!   on their connection's thread behind a counting admission gate,
+//!   per-request deadlines/budgets, graceful draining shutdown,
 //!   JSON-lines access log;
 //! - [`client`] — a blocking client library (used by `sdcheck client`
 //!   and the `sdbench` load generator).

@@ -20,7 +20,7 @@
 //! All hot-path state is lock-free ([`sd_core::metrics`]): sharded
 //! counters and fixed-bucket log-scale histograms, no floats, no locks
 //! on the request path. Quantiles (p50/p90/p95/p99) and gauges
-//! (uptime, in-flight, queue depth, worker utilization) are derived at
+//! (uptime, in-flight, queue depth, query slots) are derived at
 //! scrape time by the `metrics` protocol method, which renders either
 //! structured JSON or a Prometheus text exposition. The slow-query ring
 //! is behind a `Mutex`, but is touched only by requests already slower
@@ -169,8 +169,8 @@ impl Phase {
 }
 
 /// Per-request phase timings. Created when the request line arrives,
-/// carried through the worker pool (it travels inside the job), and
-/// finalised after the response write. Phases not exercised by a
+/// filled in on the connection's thread, and finalised after the
+/// response write. Phases not exercised by a
 /// request (e.g. `search` for `ping`) stay 0 — the breakdown is always
 /// complete, never partial.
 #[derive(Debug)]
@@ -372,7 +372,7 @@ fn engine_idx(engine: &str) -> usize {
 }
 
 /// The server's metric families. One instance per server, shared by
-/// every connection/worker thread; all recording is lock-free. When
+/// every connection thread; all recording is lock-free. When
 /// constructed disabled (`--no-metrics`) every recording call returns
 /// immediately.
 pub struct ServerMetrics {
@@ -652,9 +652,9 @@ pub struct ScrapeGauges {
     pub connections_open: u64,
     /// Queries executing right now.
     pub inflight: u64,
-    /// Jobs waiting in the admission queue.
+    /// Queries waiting for a run slot.
     pub queue_depth: u64,
-    /// Worker pool size.
+    /// Queries that may run at once.
     pub workers: u64,
     /// Result-cache counters.
     pub cache: CacheStats,
@@ -855,13 +855,13 @@ const FAMILIES: &[Family] = &[
         help: "Currently open connections.",
         read: |_, g, _| Value::Num(g.connections_open) },
     Family { kind: Kind::Gauge, name: "sd_inflight_queries", json: "gauges.inflight", dims: &[],
-        help: "Queries executing in the worker pool.",
+        help: "Queries running right now.",
         read: |_, g, _| Value::Num(g.inflight) },
     Family { kind: Kind::Gauge, name: "sd_queue_depth", json: "gauges.queue_depth", dims: &[],
-        help: "Jobs waiting in the admission queue.",
+        help: "Queries waiting for a run slot.",
         read: |_, g, _| Value::Num(g.queue_depth) },
     Family { kind: Kind::Gauge, name: "sd_workers", json: "gauges.workers", dims: &[],
-        help: "Worker pool size.",
+        help: "Queries that may run at once.",
         read: |_, g, _| Value::Num(g.workers) },
     Family { kind: Kind::Counter, name: "sd_access_log_dropped_total", json: "access_log_dropped", dims: &[],
         help: "Access-log lines dropped instead of blocking requests.",

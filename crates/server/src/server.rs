@@ -1,19 +1,18 @@
-//! The TCP daemon: accept loop, bounded admission queue, fixed worker
-//! pool, graceful shutdown, and the observability hooks around all of
-//! it.
+//! The TCP daemon: a blocking accept loop, a thread per connection,
+//! an admission gate bounding concurrent queries, graceful shutdown,
+//! and the observability hooks around all of it.
 //!
 //! # Threading model
 //!
-//! - One **accept thread** polls a non-blocking listener and spawns a
-//!   thread per connection (connections are cheap: they block on reads).
-//! - Each **connection thread** reads bounded JSON lines, answers
-//!   control methods (`ping`, `register`, `metrics`, `slowlog`,
-//!   `shutdown`) inline, and submits query work to a bounded
-//!   [`mpsc::sync_channel`]. A full queue is an immediate `overloaded`
-//!   error — the client backs off, the server never buffers unbounded
-//!   work.
-//! - A **fixed pool** of worker threads drains the queue, runs
-//!   [`engine::execute_query`], and replies over a per-request channel.
+//! - One **accept thread** blocks in `accept` and spawns a thread per
+//!   connection (connections are cheap: they block on reads).
+//! - Each **connection thread** reads bounded JSON lines and answers
+//!   every method itself, queries included: nothing is handed to
+//!   another thread. A query first passes the admission gate: at most
+//!   [`Config::workers`] queries run at once, and at most
+//!   [`Config::queue_depth`] wait for a slot. A query that finds the
+//!   wait queue full is refused at once with `overloaded` — the client
+//!   backs off, the server never buffers unbounded work.
 //!
 //! # Observability
 //!
@@ -34,25 +33,28 @@
 //!
 //! # Graceful shutdown
 //!
-//! `shutdown` (request or [`ServeHandle::shutdown`]) flips a flag and
-//! closes the job queue's sender side. Workers finish every job already
-//! admitted (the drain), then exit; new queries are refused with
-//! `shutting_down`; the accept thread stops on its next poll. In-flight
+//! `shutdown` (request or [`ServeHandle::shutdown`]) flips a flag, after
+//! which new registrations and queries are refused with
+//! `shutting_down`, and wakes the accept thread by connecting once to
+//! the listener; the accept thread sees the flag and exits.
+//! [`ServeHandle::wait`] then blocks until every query the gate already
+//! admitted, running or waiting, has finished (the drain). In-flight
 //! requests therefore complete normally while the server drains — the
-//! robustness property the e2e tests pin.
+//! robustness property the e2e tests pin. A `shutdown` request is
+//! acknowledged before the accept thread is woken, so the reply is
+//! written before `wait` can return and the process exit.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sd_core::{CompileBudget, JsonBuf, QueryReport, Sink};
 
 use crate::cache::ResultCache;
-use crate::engine::{self, ExecOutcome};
+use crate::engine;
 use crate::metrics::{
     Method, MetricsSink, Phase, RequestObs, RequestTrace, ScrapeGauges, ServerMetrics,
 };
@@ -60,13 +62,15 @@ use crate::proto::{self, ErrorKind, QueryReq, Request, WireError, MAX_FRAME};
 use crate::registry::{Registry, SystemEntry};
 
 /// Server tuning knobs. [`Config::default`] is suitable for tests and
-/// small deployments: loopback, four workers, a 64-deep queue.
+/// small deployments: loopback, four query slots, 64 waiting queries.
 pub struct Config {
     /// Bind address (`"127.0.0.1:0"` picks a free port).
     pub addr: String,
-    /// Worker threads executing queries.
+    /// Queries that may run at once, each on its own connection thread
+    /// (0 is taken as 1).
     pub workers: usize,
-    /// Bounded admission-queue depth; a full queue refuses work.
+    /// Queries that may wait for a run slot; a query arriving when this
+    /// many already wait is refused with `overloaded`.
     pub queue_depth: usize,
     /// Maximum registered systems (entries live for the process).
     pub registry_cap: usize,
@@ -121,19 +125,31 @@ struct Shared {
     max_frame: usize,
     max_timeout: Duration,
     workers: usize,
+    queue_depth: usize,
+    /// Admission gate: `(running, waiting)` queries; notified as one ends.
+    gate: (Mutex<(usize, usize)>, Condvar),
+    /// Set once shutdown begins; new work is refused from then on.
     shutdown: AtomicBool,
-    jobs: Mutex<Option<SyncSender<Job>>>,
+    /// Cleared when the accept thread is told to exit.
+    accepting: AtomicBool,
+    /// Reaches the listener; connecting wakes the accept thread.
+    wake_addr: SocketAddr,
     connections: AtomicU64,
     connections_open: AtomicU64,
-    inflight: AtomicU64,
-    queue_depth: AtomicU64,
 }
 
-struct Job {
-    entry: Arc<SystemEntry>,
-    req: QueryReq,
-    trace: RequestTrace,
-    reply: mpsc::SyncSender<(Result<ExecOutcome, WireError>, RequestTrace)>,
+/// A running query's gate slot, freed on drop so that a panicking query
+/// cannot leave a drain waiting forever.
+struct Slot<'a>(&'a Shared);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let (counts, freed) = &self.0.gate;
+        // Every update under this lock leaves the counts valid.
+        counts.lock().unwrap_or_else(PoisonError::into_inner).0 -= 1;
+        // Waiting queries and a drain listen on the one condvar.
+        freed.notify_all();
+    }
 }
 
 /// Everything known about a finished request when it is folded into the
@@ -175,18 +191,56 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Runs `work` on the calling thread once one of `workers` slots is
+    /// free, queued behind at most `queue_depth` other waiting queries.
+    /// Refuses with `overloaded` when the queue is full and with
+    /// `shutting_down` once shutdown began. The flag is read under the
+    /// gate lock, so nothing is admitted after a drain saw the gate empty.
+    fn admit<T>(&self, work: impl FnOnce() -> Result<T, WireError>) -> Result<T, WireError> {
+        let (counts, freed) = &self.gate;
+        let mut c = counts.lock().expect("gate lock");
+        if self.shutting_down() {
+            let msg = "server is draining";
+            return Err(WireError::new(ErrorKind::ShuttingDown, msg));
+        }
+        if c.0 >= self.workers && c.1 >= self.queue_depth {
+            let msg = "admission queue full; retry later";
+            return Err(WireError::new(ErrorKind::Overloaded, msg));
+        }
+        c.1 += 1;
+        let waited = freed.wait_while(c, |c| c.0 >= self.workers);
+        let mut c = waited.expect("gate lock");
+        c.1 -= 1;
+        c.0 += 1;
+        drop(c);
+        let _slot = Slot(self);
+        work()
+    }
+
+    /// Blocks until no query is running or waiting.
+    fn drain(&self) {
+        let (counts, freed) = &self.gate;
+        let c = counts.lock().expect("gate lock");
+        drop(freed.wait_while(c, |c| c.0 + c.1 > 0).expect("gate lock"));
+    }
+
+    /// Refuses new work, then wakes the accept thread so it exits.
+    /// Idempotent: only the first call connects.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Closing the sender lets workers drain the queue and exit.
-        self.jobs.lock().expect("jobs lock").take();
+        if self.accepting.swap(false, Ordering::SeqCst) {
+            // One connection returns the accept thread to its flag check.
+            let _ = TcpStream::connect(self.wake_addr);
+        }
     }
 
     fn scrape_gauges(&self) -> ScrapeGauges {
+        let (running, waiting) = *self.gate.0.lock().expect("gate lock");
         ScrapeGauges {
             connections_total: self.connections.load(Ordering::SeqCst),
             connections_open: self.connections_open.load(Ordering::SeqCst),
-            inflight: self.inflight.load(Ordering::SeqCst),
-            queue_depth: self.queue_depth.load(Ordering::SeqCst),
+            inflight: running as u64,
+            queue_depth: waiting as u64,
             workers: self.workers as u64,
             cache: self.cache.stats(),
             registry_cap: self.registry.cap() as u64,
@@ -252,17 +306,19 @@ impl Shared {
 pub struct ServeHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    accept: JoinHandle<()>,
 }
 
 impl ServeHandle {
-    /// Binds, spawns the accept thread and worker pool, and returns
-    /// immediately.
+    /// Binds, spawns the accept thread, and returns immediately.
     pub fn spawn(cfg: Config) -> std::io::Result<ServeHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_depth.max(1));
+        let wake_addr = match addr.ip() {
+            ip if !ip.is_unspecified() => addr,
+            IpAddr::V4(_) => (Ipv4Addr::LOCALHOST, addr.port()).into(),
+            IpAddr::V6(_) => (Ipv6Addr::LOCALHOST, addr.port()).into(),
+        };
         let metrics = Arc::new(ServerMetrics::new(
             cfg.metrics,
             cfg.slow_ms,
@@ -275,7 +331,6 @@ impl ServeHandle {
         } else {
             cfg.sink
         };
-        let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             registry: Registry::new(cfg.registry_cap, cfg.budget, sink),
             cache: ResultCache::new(cfg.cache_cap),
@@ -283,31 +338,23 @@ impl ServeHandle {
             access: cfg.access_log.map(Mutex::new),
             max_frame: cfg.max_frame,
             max_timeout: cfg.max_timeout,
-            workers,
+            workers: cfg.workers.max(1),
+            queue_depth: cfg.queue_depth,
+            gate: (Mutex::new((0, 0)), Condvar::new()),
             shutdown: AtomicBool::new(false),
-            jobs: Mutex::new(Some(tx)),
+            accepting: AtomicBool::new(true),
+            wake_addr,
             connections: AtomicU64::new(0),
             connections_open: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
         });
-        let mut threads = Vec::new();
-        // Worker pool: shared receiver behind a mutex (std mpsc is
-        // single-consumer; the hand-off cost is dwarfed by the search).
-        let rx = Arc::new(Mutex::new(rx));
-        for _ in 0..workers {
-            let rx = Arc::clone(&rx);
+        let accept = {
             let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || worker_loop(&rx, &shared)));
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || accept_loop(listener, &shared)));
-        }
+            std::thread::spawn(move || accept_loop(listener, &shared))
+        };
         Ok(ServeHandle {
             addr,
             shared,
-            threads,
+            accept,
         })
     }
 
@@ -331,50 +378,32 @@ impl ServeHandle {
         Arc::clone(&self.shared.metrics)
     }
 
-    /// Begins graceful shutdown and joins the accept thread and worker
-    /// pool (queued queries complete first). Connection threads exit as
-    /// their clients disconnect or issue their next request.
-    pub fn shutdown(mut self) {
+    /// Begins graceful shutdown, wakes and joins the accept thread, and
+    /// returns once every query already admitted (running or waiting
+    /// for a slot) has finished. Connection threads exit as their
+    /// clients disconnect; until then they answer new work with
+    /// `shutting_down`.
+    pub fn shutdown(self) {
         self.shared.begin_shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.wait();
     }
 
-    /// Blocks until the server shuts down (via a `shutdown` request).
-    pub fn wait(mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<Job>>>, shared: &Arc<Shared>) {
-    loop {
-        let mut job = match rx.lock().expect("worker rx lock").recv() {
-            Ok(job) => job,
-            Err(_) => return, // sender closed: drained, exit
-        };
-        shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        shared.inflight.fetch_add(1, Ordering::SeqCst);
-        let result = engine::execute_query(
-            &job.entry,
-            &shared.cache,
-            &job.req,
-            shared.max_timeout,
-            &mut job.trace,
-        );
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        let _ = job.reply.send((result, job.trace));
+    /// Blocks until the server shuts down (via a `shutdown` request)
+    /// and every admitted query has finished.
+    pub fn wait(self) {
+        self.accept.join().expect("accept thread panicked");
+        self.shared.drain();
     }
 }
 
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     loop {
-        if shared.shutting_down() {
+        let accepted = listener.accept();
+        if !shared.accepting.load(Ordering::SeqCst) {
+            // The wake-up connection, or a client too late to serve.
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 // One request-response per round trip: Nagle + delayed
                 // ACK would add ~40ms to every reply.
@@ -387,10 +416,8 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
                     shared.connections_open.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            // Back off so a persistent error (e.g. `EMFILE`) cannot spin.
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
@@ -536,10 +563,6 @@ fn handle_register(
 
 fn handle_query(shared: &Shared, id: Option<u64>, req: QueryReq, trace: &mut RequestTrace) -> Done {
     let method = Method::from_kind(req.kind);
-    if shared.shutting_down() {
-        let err = WireError::new(ErrorKind::ShuttingDown, "server is draining");
-        return Done::err(method, id, &err);
-    }
     let system = req.system;
     let Some(entry) = shared.registry.get(system) else {
         let err = WireError::new(
@@ -548,58 +571,22 @@ fn handle_query(shared: &Shared, id: Option<u64>, req: QueryReq, trace: &mut Req
         );
         return Done::err(method, id, &err);
     };
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    // The trace travels with the job so worker-side phases (cache,
-    // compile, search, serialize) land on this request; it comes back
-    // with the reply. `take` leaves a fresh trace behind, immediately
-    // overwritten on every path below.
-    let job = Job {
-        entry,
-        req,
-        trace: std::mem::take(trace),
-        reply: reply_tx,
-    };
-    shared.queue_depth.fetch_add(1, Ordering::SeqCst);
-    let submit = {
-        let guard = shared.jobs.lock().expect("jobs lock");
-        match &*guard {
-            Some(tx) => tx.try_send(job),
-            None => Err(TrySendError::Disconnected(job)),
+    let result = shared
+        .admit(|| engine::execute_query(&entry, &shared.cache, &req, shared.max_timeout, trace));
+    let mut d = match result {
+        Ok(out) => {
+            let response = trace.time(Phase::Serialize, || {
+                proto::encode_query_ok(id, &out.answer, out.cached, out.report.as_ref())
+            });
+            let mut d = Done::ok(method, response);
+            d.cached = out.cached;
+            d.cold = !out.cached;
+            d.fingerprint = out.fingerprint;
+            d.report = out.report;
+            d
         }
+        Err(err) => Done::err(method, id, &err),
     };
-    let err = match submit {
-        Ok(()) => match reply_rx.recv() {
-            Ok((Ok(out), t)) => {
-                *trace = t;
-                let response = trace.time(Phase::Serialize, || {
-                    proto::encode_query_ok(id, &out.answer, out.cached, out.report.as_ref())
-                });
-                let mut d = Done::ok(method, response);
-                d.cached = out.cached;
-                d.cold = !out.cached;
-                d.system = Some(system);
-                d.fingerprint = out.fingerprint;
-                d.report = out.report;
-                return d;
-            }
-            Ok((Err(err), t)) => {
-                *trace = t;
-                err
-            }
-            Err(_) => WireError::new(ErrorKind::ShuttingDown, "worker pool stopped"),
-        },
-        Err(TrySendError::Full(job)) => {
-            shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            *trace = job.trace;
-            WireError::new(ErrorKind::Overloaded, "admission queue full; retry later")
-        }
-        Err(TrySendError::Disconnected(job)) => {
-            shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            *trace = job.trace;
-            WireError::new(ErrorKind::ShuttingDown, "server is draining")
-        }
-    };
-    let mut d = Done::err(method, id, &err);
     d.system = Some(system);
     d
 }
@@ -647,7 +634,9 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
                 trace.time(Phase::Serialize, || slowlog_response(shared, id, limit)),
             ),
             Request::Shutdown => {
-                shared.begin_shutdown();
+                // Refuse new work before the acknowledgment; the accept
+                // thread is woken only after it is written (below).
+                shared.shutdown.store(true, Ordering::SeqCst);
                 Done::ok(Method::Shutdown, flag_response(id, "shutting_down"))
             }
             Request::Register(desc) => handle_register(shared, id, &desc, &mut trace),
@@ -658,6 +647,77 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
         // cover the full request. A scrape therefore does not count
         // itself — the mix a test issues is exactly what it reads back.
         shared.observe_and_log(id, &done, &trace);
+        if done.method == Method::Shutdown {
+            shared.begin_shutdown();
+        }
         wres?;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
+
+    fn gauges(shared: &Shared) -> (u64, u64) {
+        let g = shared.scrape_gauges();
+        (g.inflight, g.queue_depth)
+    }
+
+    /// One slot and one queue place: a second query waits and a third is
+    /// `overloaded`. Once shutdown begins, new queries get
+    /// `shutting_down` while both admitted ones still complete, the
+    /// drain returns only after they did, and the gauges read 0 again.
+    /// Every step is forced by barriers, not timing.
+    #[test]
+    fn gate_queues_refuses_and_drains() {
+        let cfg = Config {
+            workers: 1,
+            queue_depth: 1,
+            ..Config::default()
+        };
+        let handle = ServeHandle::spawn(cfg).expect("bind loopback");
+        let shared = &Arc::clone(&handle.shared);
+        let finished = &AtomicUsize::new(0);
+        // Each admitted query meets the test thread once when it starts
+        // running and once more to be let go.
+        let (started, release) = (&Barrier::new(2), &Barrier::new(2));
+        std::thread::scope(|s| {
+            let query = |n: usize| {
+                s.spawn(move || {
+                    shared.admit(|| {
+                        started.wait();
+                        release.wait();
+                        finished.fetch_add(1, Ordering::SeqCst);
+                        Ok(n)
+                    })
+                })
+            };
+            let first = query(1);
+            started.wait();
+            assert_eq!(gauges(shared), (1, 0));
+            let second = query(2);
+            while gauges(shared) != (1, 1) {
+                std::thread::yield_now();
+            }
+            let refused = shared.admit(|| Ok(())).unwrap_err();
+            assert_eq!(refused.kind, ErrorKind::Overloaded);
+
+            shared.begin_shutdown();
+            let refused = shared.admit(|| Ok(())).unwrap_err();
+            assert_eq!(refused.kind, ErrorKind::ShuttingDown);
+            let drained = s.spawn(move || {
+                handle.wait();
+                finished.load(Ordering::SeqCst)
+            });
+            release.wait();
+            started.wait(); // the waiting query got the slot
+            release.wait();
+            assert_eq!(first.join().unwrap().unwrap(), 1);
+            assert_eq!(second.join().unwrap().unwrap(), 2);
+            assert_eq!(drained.join().unwrap(), 2, "drain returned early");
+        });
+        assert_eq!(gauges(shared), (0, 0));
     }
 }

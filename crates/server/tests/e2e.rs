@@ -4,13 +4,14 @@
 //! draining shutdown.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpStream};
+use std::process::{Command, Stdio};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use sd_core::{examples, CompileBudget, ObjSet, Query, QueryEvent, RecordingSink};
 use sd_server::proto;
-use sd_server::{Client, Config, ErrorKind, Json, QueryReq, ServeHandle, SystemDesc};
+use sd_server::{Client, ClientError, Config, ErrorKind, Json, QueryReq, ServeHandle, SystemDesc};
 
 fn spawn(sink: Option<Arc<RecordingSink>>) -> ServeHandle {
     let cfg = Config {
@@ -223,6 +224,60 @@ fn shutdown_drains_and_refuses_new_work() {
 
     // All pool/accept threads exit.
     handle.wait();
+}
+
+/// A `shutdown` request is acknowledged before `sdserved` exits: the
+/// reply is written before the accept thread is woken, so the process
+/// cannot stop with the acknowledgment unsent.
+#[test]
+fn shutdown_is_acknowledged_before_the_daemon_exits() {
+    for _ in 0..20 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sdserved"))
+            .args(["--addr", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("start sdserved");
+        // Held open until exit, so the closing message meets no closed pipe.
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut line = String::new();
+        stdout.read_line(&mut line).unwrap();
+        let addr: SocketAddr = line
+            .trim()
+            .strip_prefix("sdserved listening on ")
+            .and_then(|a| a.parse().ok())
+            .unwrap_or_else(|| panic!("no listen address in {line:?}"));
+        let ack = Client::connect(addr)
+            .map_err(ClientError::from)
+            .and_then(|mut c| c.shutdown());
+        if ack.is_err() {
+            let _ = child.kill();
+        }
+        let status = child.wait().unwrap();
+        assert!(ack.is_ok(), "shutdown not acknowledged: {ack:?}");
+        assert!(status.success(), "sdserved exited with {status}");
+    }
+}
+
+/// `ServeHandle::shutdown` wakes an accept thread that blocks with no
+/// client ever connected, on loopback and on the unspecified address
+/// (where the wake-up connects to loopback instead).
+#[test]
+fn shutdown_wakes_an_idle_blocking_accept() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let cfg = Config {
+            addr: addr.into(),
+            ..Config::default()
+        };
+        let handle = ServeHandle::spawn(cfg).expect("bind");
+        let (done_tx, done) = mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            handle.shutdown();
+            done_tx.send(()).unwrap();
+        });
+        done.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("shutdown of a server on {addr} hung"));
+        stopper.join().unwrap();
+    }
 }
 
 /// The `metrics` scrape surfaces cache hit/miss counters and the
