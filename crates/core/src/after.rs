@@ -52,9 +52,8 @@ pub fn reachable_images_bounded(sys: &System, phi: &Phi, max_sets: usize) -> Res
 }
 
 /// [`reachable_images_bounded`] against a prepared [`Oracle`]: each BFS
-/// step maps the current image through compiled successor rows instead of
-/// interpreting every operation per state (AST fallback when the Oracle
-/// runs interpreted).
+/// step maps the current image through the Oracle's successor function
+/// (compiled rows, or the interpreter on an interpreted Oracle).
 pub fn reachable_images_bounded_with(
     oracle: &Oracle,
     phi: &Phi,
@@ -75,27 +74,17 @@ pub fn reachable_images_bounded_with(
             )));
         }
         let codes: Vec<u64> = cur.iter().collect();
-        let images: Vec<StateSet> = match oracle.with_rows(&codes, |cs, memo| {
-            (0..cs.num_ops())
+        let images = oracle.with_succ(&codes, |succ| {
+            (0..sys.num_ops())
                 .map(|op| {
                     let mut img = StateSet::new(cur.capacity());
                     for &code in &codes {
-                        let next = cs.succ(memo, code, op);
-                        if next == crate::compiled::POISON {
-                            return Err(cs.poison_error(code, op));
-                        }
-                        img.insert(next);
+                        img.insert(succ.get(code, op)?);
                     }
                     Ok(img)
                 })
                 .collect::<Result<Vec<_>>>()
-        }) {
-            Some(computed) => computed?,
-            None => sys
-                .op_ids()
-                .map(|op| image_op(sys, &cur, op))
-                .collect::<Result<_>>()?,
-        };
+        })?;
         for next in images {
             if seen.insert(next.clone()) {
                 queue.push_back(next);

@@ -24,8 +24,7 @@
 //! `Σ_{α∈A} stride_α · digit_α(code)`, which is injective on projection
 //! classes, so grouping needs only [`crate::fastmap`] integer containers —
 //! no `State` is decoded until a witness is returned. The invariance check
-//! additionally reads successor rows from a compiled [`Oracle`] when the
-//! state space compiles, falling back to AST interpretation otherwise.
+//! additionally reads successors through `Oracle::with_succ`.
 
 use crate::constraint::Phi;
 use crate::error::Result;
@@ -150,8 +149,7 @@ pub fn is_invariant(sys: &System, phi: &Phi) -> Result<bool> {
 /// A `(state, op)` pair escaping φ, if φ is not invariant.
 ///
 /// The witness is canonical: the first escaping pair in (state code,
-/// operation index) order. Successors come from compiled transition rows
-/// when the system compiles; the AST interpreter is the fallback.
+/// operation index) order.
 pub fn invariance_witness(sys: &System, phi: &Phi) -> Result<Option<(State, OpId)>> {
     let oracle = Oracle::new(sys)?;
     invariance_witness_with(&oracle, phi)
@@ -169,35 +167,17 @@ pub(crate) fn invariance_witness_with(oracle: &Oracle, phi: &Phi) -> Result<Opti
     let u = sys.universe();
     let sat = phi.sat(sys)?;
     let codes: Vec<u64> = sat.iter().collect();
-    if let Some(found) = oracle.with_rows(&codes, |cs, memo| {
+    let found = oracle.with_succ(&codes, |succ| {
         for &code in &codes {
-            for op in 0..cs.num_ops() {
-                let next = cs.succ(memo, code, op);
-                if next == crate::compiled::POISON {
-                    return Err(cs.poison_error(code, op));
-                }
-                if !sat.contains(next) {
+            for op in 0..sys.num_ops() {
+                if !sat.contains(succ.get(code, op)?) {
                     return Ok(Some((code, op)));
                 }
             }
         }
         Ok(None)
-    }) {
-        return Ok(found?.map(|(code, op)| (State::decode(u, code), OpId(op as u32))));
-    }
-    // Interpreted fallback: the state space exceeds the compiled range.
-    for sigma in sys.states()? {
-        if !phi.holds(sys, &sigma)? {
-            continue;
-        }
-        for op in sys.op_ids() {
-            let next = sys.apply(op, &sigma)?;
-            if !phi.holds(sys, &next)? {
-                return Ok(Some((sigma, op)));
-            }
-        }
-    }
-    Ok(None)
+    })?;
+    Ok(found.map(|(code, op)| (State::decode(u, code), OpId(op as u32))))
 }
 
 #[cfg(test)]

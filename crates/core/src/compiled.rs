@@ -26,7 +26,7 @@
 //! search re-interprets on access to surface the precise [`Error`].
 
 use crate::error::{Error, Result};
-use crate::fastmap::U64Map;
+use crate::fastmap::U64U64Map;
 use crate::history::OpId;
 use crate::state::State;
 use crate::system::System;
@@ -110,7 +110,7 @@ pub struct CompiledSystem<'s> {
 #[derive(Default)]
 pub struct SparseMemo {
     /// State code → offset of its row in `rows` (row length = `num_ops`).
-    index: U64Map,
+    index: U64U64Map,
     rows: Vec<u64>,
 }
 
@@ -264,7 +264,7 @@ impl<'s> CompiledSystem<'s> {
                     .index
                     .get(code)
                     .expect("sparse row materialised before use");
-                memo.rows[row + op]
+                memo.rows[row as usize + op]
             }
         }
     }
@@ -283,7 +283,7 @@ impl<'s> CompiledSystem<'s> {
                     .index
                     .get(code)
                     .expect("sparse row materialised before use");
-                Row::Sparse(&memo.rows[off..off + self.num_ops])
+                Row::Sparse(&memo.rows[off as usize..][..self.num_ops])
             }
         }
     }
@@ -330,7 +330,7 @@ impl<'s> CompiledSystem<'s> {
         {
             for (i, &code) in chunk.iter().enumerate() {
                 let offset = memo.rows.len() + i * self.num_ops;
-                memo.index.insert(code, offset);
+                memo.index.insert(code, offset as u64);
             }
             memo.rows.extend_from_slice(&rows);
         }

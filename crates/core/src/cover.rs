@@ -221,8 +221,8 @@ pub fn prove_inductive_cover(
 }
 
 /// [`prove_inductive_cover`] against a prepared [`Oracle`]: the Def 6-2
-/// image enumeration and every per-operation disjunct check run over
-/// compiled successor rows.
+/// image enumeration and the Corollary 5-6 disjunction over the cover's
+/// satisfying sets share one compile.
 pub fn prove_inductive_cover_with(
     oracle: &Oracle,
     phi: &Phi,
@@ -250,42 +250,12 @@ pub fn prove_inductive_cover_with(
         ),
     );
     cert.record(Fact::InductiveCover(cover.len()));
-    // Branch 1: ∀(i, δ): differences confined to A stay confined.
-    let mut checks = 0;
-    let mut branch1 = true;
-    'b1: for sat in &sats {
-        for op in sys.op_ids() {
-            checks += 1;
-            if !crate::induction::op_confines_diffs_with(oracle, sat, a, op)? {
-                branch1 = false;
-                break 'b1;
-            }
-        }
+    match crate::induction::disjunction(oracle, &sats, a, beta, &mut cert)? {
+        Ok(()) => Ok(ProofOutcome::Proved(cert)),
+        Err(_) => Ok(ProofOutcome::Inapplicable(
+            "both Theorem 6-7 disjuncts fail over the cover".into(),
+        )),
     }
-    if branch1 {
-        cert.record(Fact::NoSpreadFrom {
-            sources: format!("{{{}}}", a_names.join(", ")),
-            checks,
-        });
-        return Ok(ProofOutcome::Proved(cert));
-    }
-    // Branch 2: ∀(i, δ): no new difference at β.
-    let mut checks = 0;
-    for sat in &sats {
-        for op in sys.op_ids() {
-            checks += 1;
-            if !crate::induction::op_no_new_diff_at_with(oracle, sat, beta, op)? {
-                return Ok(ProofOutcome::Inapplicable(
-                    "both Theorem 6-7 disjuncts fail over the cover".into(),
-                ));
-            }
-        }
-    }
-    cert.record(Fact::NoNewDifferenceAt {
-        sink: sys.universe().name(beta).to_string(),
-        checks,
-    });
-    Ok(ProofOutcome::Proved(cert))
 }
 
 /// Theorem 4-5 as a runtime check (for tests): if `{φi}` is an

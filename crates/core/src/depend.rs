@@ -12,7 +12,7 @@
 
 use crate::constraint::Phi;
 use crate::error::Result;
-use crate::fastmap::U64Map;
+use crate::fastmap::U64U64Map;
 use crate::history::History;
 use crate::state::State;
 use crate::system::System;
@@ -86,7 +86,7 @@ impl SatPartition {
             .iter()
             .map(|obj| (u.stride(obj) as u64, u.domain(obj).size() as u64))
             .collect();
-        let mut index = U64Map::new();
+        let mut index = U64U64Map::new();
         let mut classes: Vec<Vec<u64>> = Vec::new();
         for &code in codes {
             // key = code with every A-coordinate zeroed: a perfect,
@@ -95,12 +95,11 @@ impl SatPartition {
             for &(stride, dom) in &strides {
                 key -= stride * ((code / stride) % dom);
             }
-            match index.get(key) {
-                Some(i) => classes[i].push(code),
-                None => {
-                    index.insert(key, classes.len());
-                    classes.push(vec![code]);
-                }
+            let i = index.get_or_insert(key, classes.len() as u64) as usize;
+            if i == classes.len() {
+                classes.push(vec![code]);
+            } else {
+                classes[i].push(code);
             }
         }
         // Deterministic class order (members are already ascending

@@ -18,21 +18,22 @@
 //! "no operation creates a new difference at β".
 //!
 //! Every prover has a `_with` variant taking a prepared [`Oracle`]: the
-//! system compiles once, per-operation checks read compiled successor rows
-//! (falling back to the AST interpreter when the Oracle runs interpreted),
-//! and the `(constraint set, operation)` check matrix is discharged in
-//! parallel. Grouping inside the kernels uses arithmetic projection keys
-//! over packed `u64` codes — no `State` is decoded on the hot path.
+//! system compiles once, per-operation checks read δ through
+//! `Oracle::with_succ` (compiled rows, or the interpreter on an
+//! interpreted Oracle), and the `(constraint set, operation)` check matrix
+//! is discharged in parallel. Grouping inside the kernels uses arithmetic
+//! projection keys over packed `u64` codes — no `State` is decoded on the
+//! hot path.
 
 use crate::certificate::{Certificate, Fact, ProofOutcome};
 use crate::classify;
-use crate::compiled::{par_map_chunks, POISON};
+use crate::compiled::par_map_chunks;
 use crate::constraint::{Phi, StateSet};
 use crate::depend::SatPartition;
 use crate::error::Result;
 use crate::fastmap::U64U64Map;
 use crate::history::OpId;
-use crate::oracle::Oracle;
+use crate::oracle::{Oracle, Succ};
 use crate::state::State;
 use crate::system::System;
 use crate::universe::{proj_key, ObjId, ObjSet};
@@ -110,62 +111,27 @@ fn no_new_diff_kernel(
     Ok(true)
 }
 
-/// Evaluates `kernel` for every `(constraint set, operation)` pair, in
-/// parallel, against compiled successor rows when the Oracle compiles and
-/// the AST interpreter otherwise. Results are returned in pair order, so
-/// callers can replay the sequential first-failure semantics exactly.
-fn eval_pairs<K>(
+/// Evaluates `check` for every pair, in parallel, against the Oracle's
+/// successor function with rows for `codes` materialised. Each pair names
+/// its operation; results come back in pair order, so callers can replay
+/// the sequential first-failure semantics exactly.
+fn eval_pairs<T: Send>(
     oracle: &Oracle,
-    sat_codes: &[Vec<u64>],
+    codes: &[u64],
     pairs: &[(usize, usize)],
-    kernel: K,
-) -> Vec<Result<bool>>
-where
-    K: Fn(&[u64], &mut dyn FnMut(u64) -> Result<u64>) -> Result<bool> + Sync,
-{
-    let sys = oracle.system();
-    let u = sys.universe();
-    let mut all: Vec<u64> = sat_codes.iter().flatten().copied().collect();
-    all.sort_unstable();
-    all.dedup();
-    oracle
-        .with_rows(&all, |cs, memo| {
-            par_map_chunks(pairs, 1, |chunk| {
-                chunk
-                    .iter()
-                    .map(|&(si, op)| {
-                        kernel(&sat_codes[si], &mut |code| {
-                            let next = cs.succ(memo, code, op);
-                            if next == POISON {
-                                Err(cs.poison_error(code, op))
-                            } else {
-                                Ok(next)
-                            }
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect::<Vec<_>>()
+    check: impl Fn((usize, usize), Succ<'_>) -> Result<T> + Sync,
+) -> Vec<Result<T>> {
+    oracle.with_succ(codes, |succ| {
+        par_map_chunks(pairs, 1, |chunk| {
+            chunk
+                .iter()
+                .map(|&pair| check(pair, succ))
+                .collect::<Vec<_>>()
         })
-        .unwrap_or_else(|| {
-            par_map_chunks(pairs, 1, |chunk| {
-                chunk
-                    .iter()
-                    .map(|&(si, op)| {
-                        kernel(&sat_codes[si], &mut |code| {
-                            Ok(sys
-                                .apply(OpId(op as u32), &State::decode(u, code))?
-                                .encode(u))
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        })
+        .into_iter()
+        .flatten()
+        .collect()
+    })
 }
 
 /// Per-operation check `∀m: A ▷δφ m ⊃ m ∈ A`, in the linear form
@@ -179,32 +145,6 @@ pub fn op_confines_diffs(sys: &System, sat: &StateSet, a: &ObjSet, op: OpId) -> 
     })
 }
 
-/// [`op_confines_diffs`] against a prepared [`Oracle`], probing compiled
-/// successor rows instead of interpreting the operation per state.
-pub(crate) fn op_confines_diffs_with(
-    oracle: &Oracle,
-    sat: &StateSet,
-    a: &ObjSet,
-    op: OpId,
-) -> Result<bool> {
-    let sys = oracle.system();
-    let dims = sys.universe().dims();
-    let codes: Vec<u64> = sat.iter().collect();
-    let op = op.0 as usize;
-    oracle
-        .with_rows(&codes, |cs, memo| {
-            confines_kernel(&dims, a, &codes, &mut |code| {
-                let next = cs.succ(memo, code, op);
-                if next == POISON {
-                    Err(cs.poison_error(code, op))
-                } else {
-                    Ok(next)
-                }
-            })
-        })
-        .unwrap_or_else(|| op_confines_diffs(sys, sat, a, OpId(op as u32)))
-}
-
 /// Per-operation check `∀M: M ▷δφ β ⊃ β ∈ M`, in the linear form
 /// `∀σ1, σ2 ∈ Sat(φ): σ1.β = σ2.β ⊃ δ(σ1).β = δ(σ2).β`.
 pub fn op_no_new_diff_at(sys: &System, sat: &StateSet, beta: ObjId, op: OpId) -> Result<bool> {
@@ -214,31 +154,6 @@ pub fn op_no_new_diff_at(sys: &System, sat: &StateSet, beta: ObjId, op: OpId) ->
     no_new_diff_kernel(&dims, beta, &codes, &mut |code| {
         Ok(sys.apply(op, &State::decode(u, code))?.encode(u))
     })
-}
-
-/// [`op_no_new_diff_at`] against a prepared [`Oracle`].
-pub(crate) fn op_no_new_diff_at_with(
-    oracle: &Oracle,
-    sat: &StateSet,
-    beta: ObjId,
-    op: OpId,
-) -> Result<bool> {
-    let sys = oracle.system();
-    let dims = sys.universe().dims();
-    let codes: Vec<u64> = sat.iter().collect();
-    let op = op.0 as usize;
-    oracle
-        .with_rows(&codes, |cs, memo| {
-            no_new_diff_kernel(&dims, beta, &codes, &mut |code| {
-                let next = cs.succ(memo, code, op);
-                if next == POISON {
-                    Err(cs.poison_error(code, op))
-                } else {
-                    Ok(next)
-                }
-            })
-        })
-        .unwrap_or_else(|| op_no_new_diff_at(sys, sat, beta, OpId(op as u32)))
 }
 
 fn render_objset(sys: &System, a: &ObjSet) -> String {
@@ -293,7 +208,7 @@ pub fn prove_cor_5_6_with(
 /// matrix in parallel, then replay the results in sequential order so the
 /// recorded facts, failure reasons and surfaced errors are identical to
 /// the one-check-at-a-time formulation.
-fn disjunction(
+pub(crate) fn disjunction(
     oracle: &Oracle,
     sats: &[StateSet],
     a: &ObjSet,
@@ -304,12 +219,15 @@ fn disjunction(
     let dims = sys.universe().dims();
     let num_ops = sys.num_ops();
     let sat_codes: Vec<Vec<u64>> = sats.iter().map(|s| s.iter().collect()).collect();
+    let mut all: Vec<u64> = sat_codes.iter().flatten().copied().collect();
+    all.sort_unstable();
+    all.dedup();
     let pairs: Vec<(usize, usize)> = (0..sats.len())
         .flat_map(|si| (0..num_ops).map(move |op| (si, op)))
         .collect();
     // Branch 1: ∀(sat, δ): differences confined to A stay confined.
-    let branch1 = eval_pairs(oracle, &sat_codes, &pairs, |codes, succ| {
-        confines_kernel(&dims, a, codes, succ)
+    let branch1 = eval_pairs(oracle, &all, &pairs, |(si, op), succ| {
+        confines_kernel(&dims, a, &sat_codes[si], &mut |code| succ.get(code, op))
     });
     let mut confined = true;
     for check in branch1 {
@@ -330,8 +248,8 @@ fn disjunction(
         return Ok(Ok(()));
     }
     // Branch 2: ∀(sat, δ): no new difference at β.
-    let branch2 = eval_pairs(oracle, &sat_codes, &pairs, |codes, succ| {
-        no_new_diff_kernel(&dims, beta, codes, succ)
+    let branch2 = eval_pairs(oracle, &all, &pairs, |(si, op), succ| {
+        no_new_diff_kernel(&dims, beta, &sat_codes[si], &mut |code| succ.get(code, op))
     });
     for check in branch2 {
         match check {
@@ -516,45 +434,10 @@ pub fn prove_cor_4_3_with(
     let pairs: Vec<(usize, usize)> = (0..sys.num_ops())
         .flat_map(|op| (0..objs.len()).map(move |xi| (op, xi)))
         .collect();
-    let all: Vec<u64> = oracle.sat_codes(phi)?.to_vec();
-    let sinks: Vec<Result<ObjSet>> = oracle
-        .with_rows(&all, |cs, memo| {
-            par_map_chunks(&pairs, 1, |chunk| {
-                chunk
-                    .iter()
-                    .map(|&(op, xi)| {
-                        op_sinks_kernel(&dims, &parts[xi], &mut |code| {
-                            let next = cs.succ(memo, code, op);
-                            if next == POISON {
-                                Err(cs.poison_error(code, op))
-                            } else {
-                                Ok(next)
-                            }
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect::<Vec<_>>()
-        })
-        .unwrap_or_else(|| {
-            par_map_chunks(&pairs, 1, |chunk| {
-                chunk
-                    .iter()
-                    .map(|&(op, xi)| {
-                        op_sinks_kernel(&dims, &parts[xi], &mut |code| {
-                            Ok(sys
-                                .apply(OpId(op as u32), &State::decode(u, code))?
-                                .encode(u))
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        });
+    let all = oracle.sat_codes(phi)?;
+    let sinks = eval_pairs(oracle, &all, &pairs, |(op, xi), succ| {
+        op_sinks_kernel(&dims, &parts[xi], &mut |code| succ.get(code, op))
+    });
     for (&(op, xi), sinks) in pairs.iter().zip(sinks) {
         let x = objs[xi];
         for y in sinks?.iter() {
@@ -966,34 +849,60 @@ mod tests {
 
     #[test]
     fn shared_oracle_provers_match_free_functions() {
-        // One Oracle discharging all four provers must compile exactly
-        // once and agree with the per-call entry points.
+        // One Oracle of each engine discharging all four provers, the image
+        // enumeration and the invariance witness must agree with the
+        // per-call entry points; the compiled ones compile exactly once.
+        use crate::compiled::{CompileBudget, Engine};
         let sys = guarded_copy();
         let u = sys.universe();
         let a = u.obj("alpha").unwrap();
         let b = u.obj("beta").unwrap();
         let m = u.obj("m").unwrap();
-        let phi = Phi::expr(Expr::var(m).not());
-        let oracle = Oracle::new(&sys).unwrap();
-        let shared = [
-            prove_cor_4_2_with(&oracle, &phi, a, b).unwrap(),
-            prove_cor_5_6_with(&oracle, &phi, &ObjSet::singleton(a), b).unwrap(),
-            prove_cor_6_5_with(&oracle, &phi, &ObjSet::singleton(a), b).unwrap(),
-            prove_cor_4_3_with(&oracle, &phi, &|x, y| x == y, "identity").unwrap(),
-        ];
-        let free = [
-            prove_cor_4_2(&sys, &phi, a, b).unwrap(),
-            prove_cor_5_6(&sys, &phi, &ObjSet::singleton(a), b).unwrap(),
-            prove_cor_6_5(&sys, &phi, &ObjSet::singleton(a), b).unwrap(),
-            prove_cor_4_3(&sys, &phi, &|x, y| x == y, "identity").unwrap(),
-        ];
-        for (s, f) in shared.iter().zip(&free) {
-            assert_eq!(s.is_proved(), f.is_proved());
-            assert_eq!(
-                s.certificate().map(|c| &c.facts),
-                f.certificate().map(|c| &c.facts)
-            );
+        let blocked = Phi::expr(Expr::var(m).not());
+        // β = 0 is not invariant: the copy writes β.
+        let escapes = Phi::expr(Expr::var(b).eq(Expr::int(0)));
+        for (engine, name) in [
+            (Engine::Interpreted, "interpreted"),
+            (Engine::CompiledDense, "compiled-dense"),
+            (Engine::CompiledSparse, "compiled-sparse"),
+        ] {
+            let oracle =
+                Oracle::with_engine(&sys, engine, &CompileBudget::default(), None).unwrap();
+            assert_eq!(oracle.engine_name(), name);
+            for phi in [&blocked, &escapes, &Phi::True] {
+                let shared = [
+                    prove_cor_4_2_with(&oracle, phi, a, b).unwrap(),
+                    prove_cor_5_6_with(&oracle, phi, &ObjSet::singleton(a), b).unwrap(),
+                    prove_cor_6_5_with(&oracle, phi, &ObjSet::singleton(a), b).unwrap(),
+                    prove_cor_4_3_with(&oracle, phi, &|x, y| x == y, "identity").unwrap(),
+                ];
+                let free = [
+                    prove_cor_4_2(&sys, phi, a, b).unwrap(),
+                    prove_cor_5_6(&sys, phi, &ObjSet::singleton(a), b).unwrap(),
+                    prove_cor_6_5(&sys, phi, &ObjSet::singleton(a), b).unwrap(),
+                    prove_cor_4_3(&sys, phi, &|x, y| x == y, "identity").unwrap(),
+                ];
+                for (s, f) in shared.iter().zip(&free) {
+                    assert_eq!(s.is_proved(), f.is_proved(), "{name}");
+                    assert_eq!(s.reason(), f.reason(), "{name}");
+                    assert_eq!(s.certificate(), f.certificate(), "{name}");
+                }
+                assert_eq!(
+                    crate::after::reachable_images_with(&oracle, phi).unwrap(),
+                    crate::after::reachable_images(&sys, phi).unwrap(),
+                    "{name}"
+                );
+                assert_eq!(
+                    classify::invariance_witness_with(&oracle, phi).unwrap(),
+                    classify::invariance_witness(&sys, phi).unwrap(),
+                    "{name}"
+                );
+            }
+            assert!(classify::invariance_witness_with(&oracle, &escapes)
+                .unwrap()
+                .is_some());
+            let compiles = u64::from(engine != Engine::Interpreted);
+            assert_eq!(oracle.stats().compiles, compiles, "{name}");
         }
-        assert_eq!(oracle.stats().compiles, 1);
     }
 }

@@ -15,8 +15,10 @@
 //! - a pool of reusable search buffers (visited structure, BFS node
 //!   arena, sparse row memo), so a sweep of thousands of pair searches
 //!   allocates only on growth;
-//! - a shared sparse-row cache for the op-kernel sweeps of
-//!   [`crate::induction`] and [`crate::classify`].
+//! - a shared sparse-row cache behind `Oracle::with_succ`, the one
+//!   successor lookup of the op-kernel sweeps in [`crate::induction`],
+//!   [`crate::cover`] and [`crate::classify`] and the image enumeration
+//!   of [`crate::after`].
 //!
 //! An Oracle has no query methods of its own: [`crate::query::Query`] is
 //! the one public way to ask. One-shot [`crate::query::Query::run_on`]
@@ -41,14 +43,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::compiled::{
-    par_map_chunks, CompileBudget, CompiledSystem, Engine, SparseMemo, TableKind,
+    par_map_chunks, CompileBudget, CompiledSystem, Engine, SparseMemo, TableKind, POISON,
 };
 use crate::constraint::Phi;
 use crate::depend::{self, SatPartition};
 use crate::error::{Error, Result};
+use crate::history::OpId;
 use crate::reach::{
     self, compiled_search, interpreted_search, DependsWitness, SearchBuffers, SearchLimits,
 };
+use crate::state::State;
 use crate::system::System;
 use crate::telemetry::{QueryEvent, Sink, Trace, TraceCounters};
 use crate::universe::{ObjId, ObjSet};
@@ -438,26 +442,62 @@ impl<'s> Oracle<'s> {
         Ok(None)
     }
 
-    /// Runs `f` against the compiled tables with sparse successor rows
-    /// for `codes` guaranteed materialised, reusing (and extending) the
-    /// Oracle's shared row cache. Returns `None` when this Oracle runs
-    /// interpreted — callers fall back to the AST-walking kernel.
-    pub(crate) fn with_rows<R>(
-        &self,
-        codes: &[u64],
-        f: impl FnOnce(&CompiledSystem<'s>, &SparseMemo) -> R,
-    ) -> Option<R> {
-        let cs = self.compiled.as_ref()?;
+    /// Runs `f` with this Oracle's successor function δ(code, op): compiled
+    /// rows when the Oracle compiles — sparse rows for `codes` are first
+    /// materialised into the shared row cache — and the interpreter
+    /// otherwise. `f` sees one [`Succ`] either way, so the prover kernels
+    /// have a single branch.
+    pub(crate) fn with_succ<R>(&self, codes: &[u64], f: impl FnOnce(Succ<'_>) -> R) -> R {
+        let Some(cs) = &self.compiled else {
+            return f(Succ {
+                sys: self.sys,
+                tables: None,
+            });
+        };
         let mut memo = std::mem::take(&mut *self.rows.lock().expect("row cache lock"));
         if cs.kind() == TableKind::Sparse {
             let mut trace = Trace::new(self.sink_ref());
             cs.ensure_rows(&mut memo, codes, &mut trace);
         }
-        let out = f(cs, &memo);
+        let out = f(Succ {
+            sys: self.sys,
+            tables: Some((cs, &memo)),
+        });
         // Concurrent callers may have raced the take; keeping the most
         // recent memo is fine — it is only a cache.
         *self.rows.lock().expect("row cache lock") = memo;
-        Some(out)
+        out
+    }
+}
+
+/// The successor function handed out by [`Oracle::with_succ`]. Cheap to
+/// copy and shareable across the provers' scoped worker threads.
+#[derive(Clone, Copy)]
+pub(crate) struct Succ<'a> {
+    sys: &'a System,
+    /// `None` ⇒ interpret each operation.
+    tables: Option<(&'a CompiledSystem<'a>, &'a SparseMemo)>,
+}
+
+impl Succ<'_> {
+    /// δ_op(code), or the error the interpreter reports for that
+    /// operation on that state. Sparse rows must cover `code` (every code
+    /// passed to [`Oracle::with_succ`] does).
+    #[inline]
+    pub(crate) fn get(&self, code: u64, op: usize) -> Result<u64> {
+        match self.tables {
+            Some((cs, memo)) => match cs.succ(memo, code, op) {
+                POISON => Err(cs.poison_error(code, op)),
+                next => Ok(next),
+            },
+            None => {
+                let u = self.sys.universe();
+                Ok(self
+                    .sys
+                    .apply(OpId(op as u32), &State::decode(u, code))?
+                    .encode(u))
+            }
+        }
     }
 }
 
@@ -517,6 +557,49 @@ mod tests {
             .unwrap();
         assert_eq!(out.report.engine, "interpreted");
         assert_eq!(oracle.stats().compiles, 0);
+    }
+
+    /// `with_succ` answers every `(code, op)` alike on all three engines,
+    /// errors included: the compiled engines decode their poison entries
+    /// to the interpreter's error.
+    #[test]
+    fn succ_agrees_across_engines() {
+        use crate::expr::Expr;
+        use crate::op::{Cmd, Op};
+        use crate::universe::{Domain, Universe};
+        let u = Universe::new(vec![
+            ("x".into(), Domain::int_range(0, 2).unwrap()),
+            ("y".into(), Domain::boolean()),
+        ])
+        .unwrap();
+        let x = u.obj("x").unwrap();
+        let y = u.obj("y").unwrap();
+        // `bump` errors at x = 2: the result leaves x's domain.
+        let sys = System::new(
+            u,
+            vec![
+                Op::from_cmd("bump", Cmd::assign(x, Expr::var(x).add(Expr::int(1)))),
+                Op::from_cmd("flip", Cmd::assign(y, Expr::var(y).not())),
+            ],
+        );
+        let codes: Vec<u64> = (0..sys.state_count().unwrap()).collect();
+        let table = |engine| {
+            let oracle =
+                Oracle::with_engine(&sys, engine, &CompileBudget::default(), None).unwrap();
+            oracle.with_succ(&codes, |succ| {
+                codes
+                    .iter()
+                    .flat_map(|&code| (0..sys.num_ops()).map(move |op| succ.get(code, op)))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let interpreted = table(Engine::Interpreted);
+        assert!(interpreted
+            .iter()
+            .any(|r| matches!(r, Err(Error::OutOfDomain { .. }))));
+        assert!(interpreted.iter().any(Result::is_ok));
+        assert_eq!(table(Engine::CompiledDense), interpreted);
+        assert_eq!(table(Engine::CompiledSparse), interpreted);
     }
 
     /// A matrix query's rows, answer and cost report both, equal its

@@ -561,3 +561,81 @@ fn separation_of_variety_matches_interpreted_reference() {
         }
     }
 }
+
+/// Sequential interpreted Theorem 6-7 reference: the Def 6-2 check over
+/// interpreted image sets, then the interpreted disjunction over the
+/// cover's satisfying sets.
+fn ref_inductive_cover(
+    sys: &System,
+    phi: &Phi,
+    cover: &[Phi],
+    a: &ObjSet,
+    beta: ObjId,
+) -> ProofOutcome {
+    if a.contains(beta) {
+        return ProofOutcome::Inapplicable("β ∈ A".into());
+    }
+    let sats: Vec<StateSet> = cover.iter().map(|p| p.sat(sys).unwrap()).collect();
+    let images = ref_reachable_images(sys, phi);
+    if !images
+        .iter()
+        .all(|img| sats.iter().any(|s| img.is_subset(s)))
+    {
+        return ProofOutcome::Inapplicable("{φi} is not an inductive cover for φ (Def 6-2)".into());
+    }
+    let mut cert = Certificate::new(
+        "Theorem 6-7 (inductive cover)",
+        format!(
+            "¬ {} ▷φ {}",
+            render_objset(sys, a),
+            sys.universe().name(beta)
+        ),
+    );
+    cert.record(Fact::InductiveCover(cover.len()));
+    match ref_disjunction(sys, &sats, a, beta, &mut cert) {
+        Ok(()) => ProofOutcome::Proved(cert),
+        Err(_) => {
+            ProofOutcome::Inapplicable("both Theorem 6-7 disjuncts fail over the cover".into())
+        }
+    }
+}
+
+#[test]
+fn inductive_cover_matches_interpreted_reference() {
+    // Outcomes seen: [branch 1 proves, branch 2 proves, both fail, not a cover].
+    let mut seen = [0usize; 4];
+    for seed in 0..40u64 {
+        let sys = random_system(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0006_0007_u64);
+        let u = sys.universe();
+        let ids: Vec<_> = u.objects().collect();
+        let phi = random_phi(&sys, &mut rng);
+        let a = ObjSet::singleton(ids[0]);
+        // The trivial cover {tt} is always inductive; a split on one
+        // object's value is inductive only when no reachable [H]φ varies
+        // that object.
+        let splitter = ids[rng.gen_range(0..ids.len())];
+        let split: Vec<Phi> = (0..u.domain(splitter).size() as i64)
+            .map(|v| Phi::expr(Expr::var(splitter).eq(Expr::int(v))))
+            .collect();
+        for cover in [vec![Phi::True], split] {
+            for &beta in &ids[1..] {
+                let got = cover::prove_inductive_cover(&sys, &phi, &cover, &a, beta).unwrap();
+                let reference = ref_inductive_cover(&sys, &phi, &cover, &a, beta);
+                assert_outcomes_equal(&got, &reference, &format!("Thm 6-7, seed {seed}"));
+                let branch = match &reference {
+                    ProofOutcome::Proved(c)
+                        if matches!(c.facts.last(), Some(Fact::NoSpreadFrom { .. })) =>
+                    {
+                        0
+                    }
+                    ProofOutcome::Proved(_) => 1,
+                    ProofOutcome::Inapplicable(r) if r.starts_with("both") => 2,
+                    ProofOutcome::Inapplicable(_) => 3,
+                };
+                seen[branch] += 1;
+            }
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 0), "branches reached: {seen:?}");
+}

@@ -116,11 +116,9 @@ fn build_query(
 /// `trace` attributes the stage costs to request phases: query
 /// construction (φ lowering, name resolution) is `compile`, the
 /// fingerprint probe is `cache`, the pair search is `search`, and
-/// answer encoding is `serialize`. Any fresh successor-table compile
-/// triggered inside `Query::run` lands in `search` here; the dedicated
-/// compile accounting for it comes from the telemetry stream
-/// (`CompileFinish.wall_ns`) instead, which is why `QueryReport.wall_ns`
-/// excluding compile time no longer loses information at the server.
+/// answer encoding is `serialize`. `Query::run` never compiles here: a
+/// registry Oracle compiles its successor tables once, at registration,
+/// in the `compile` phase of `register`.
 pub fn execute_query(
     entry: &SystemEntry,
     cache: &ResultCache,

@@ -134,9 +134,14 @@ impl Registry {
                 format!("registry full ({} systems); not accepting more", self.cap),
             ));
         }
-        let system: &'static System = Box::leak(Box::new(build_system(desc)?));
+        let invalid = |e: sd_core::Error| WireError::new(ErrorKind::Invalid, e.to_string());
+        let system = build_system(desc)?;
+        // The only step of an `Engine::Auto` Oracle build that can fail;
+        // run it while the system is still owned, so a refusal frees it.
+        system.state_count().map_err(invalid)?;
+        let system: &'static System = Box::leak(Box::new(system));
         let oracle = Oracle::with_engine(system, Engine::Auto, &self.budget, self.sink.clone())
-            .map_err(|e| WireError::new(ErrorKind::Invalid, e.to_string()))?;
+            .map_err(invalid)?;
         let entry = Arc::new(SystemEntry {
             key,
             desc: desc.describe(),
