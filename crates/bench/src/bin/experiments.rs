@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use sd_bench::Table;
-use sd_core::{examples, Expr, History, ObjSet, OpId, Phi, Rights};
+use sd_core::{examples, Expr, History, ObjSet, OpId, Oracle, Phi, Rights};
 use sd_info::Dist;
 
 fn yes(b: bool) -> String {
@@ -81,7 +81,7 @@ fn telemetry_log(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     use std::io::BufWriter;
     use std::sync::Arc;
 
-    use sd_core::{CompileBudget, Engine, JsonLinesSink, Oracle, Query, Sink};
+    use sd_core::{CompileBudget, Engine, JsonLinesSink, Query, Sink};
 
     let sys = examples::flag_copy_system(3)?;
     let file = std::fs::File::create(path)?;
@@ -274,8 +274,9 @@ fn e4_unique_maximal() -> Result<(), Box<dyn std::error::Error>> {
     let u = sys.universe();
     let a = u.obj("alpha")?;
     let b = u.obj("beta")?;
+    let oracle = Oracle::new(&sys)?;
     let computed =
-        sd_core::solve::unique_maximal_independent_solution(&sys, &ObjSet::singleton(a), b)?;
+        sd_core::solve::unique_maximal_independent_solution(&oracle, &ObjSet::singleton(a), b)?;
     let expected = Phi::expr(
         Expr::var(u.obj("xx")?)
             .has_rights(Rights::S)
@@ -387,7 +388,8 @@ fn e6_pointer_chains() -> Result<(), Box<dyn std::error::Error>> {
             !chain_q.contains(x) || chain_q.contains(y)
         };
         let t0 = Instant::now();
-        let proof = sd_core::induction::prove_cor_4_3(&sys, &phi, &q, "Chain(x) ⊃ Chain(y)")?;
+        let oracle = Oracle::new(&sys)?;
+        let proof = sd_core::induction::prove_cor_4_3(&oracle, &phi, &q, "Chain(x) ⊃ Chain(y)")?;
         let ind_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
         let exact = sd_core::Query::new(phi.clone(), ObjSet::singleton(alpha).clone())
@@ -452,7 +454,7 @@ fn e7_nontransitivity() -> Result<(), Box<dyn std::error::Error>> {
         Phi::expr(Expr::var(q_obj).not()),
     ];
     let out = sd_core::cover::prove_separation_of_variety(
-        &sys,
+        &Oracle::new(&sys)?,
         &Phi::True,
         &cover,
         &ObjSet::singleton(a),
@@ -601,13 +603,14 @@ fn e10_oscillator() -> Result<(), Box<dyn std::error::Error>> {
         Phi::expr(Expr::var(a).eq(Expr::int(37))),
         Phi::expr(Expr::var(a).eq(Expr::int(-37))),
     ];
+    let oracle = Oracle::new(&sys)?;
     t.row(&[
         "{α = 37, α = -37} inductive cover for φ".into(),
-        yes(sd_core::cover::is_inductive_cover(&sys, &phi, &cover)?),
+        yes(sd_core::cover::is_inductive_cover(&oracle, &phi, &cover)?),
         "yes".into(),
     ]);
     let proof =
-        sd_core::cover::prove_inductive_cover(&sys, &phi, &cover, &ObjSet::singleton(a), b)?;
+        sd_core::cover::prove_inductive_cover(&oracle, &phi, &cover, &ObjSet::singleton(a), b)?;
     t.row(&[
         "Thm 6-7 proves ¬α ▷φ β".into(),
         yes(proof.is_proved()),
@@ -1106,30 +1109,46 @@ fn p2_pair_bfs() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Timed samples per P5 row and side.
+const P5_SAMPLES: usize = 11;
+
+/// Runs `f` [`P5_SAMPLES`] times and returns its last result with the
+/// median and interquartile range (q3 − q1, nearest rank) of the
+/// wall times in ms.
+fn p5_sample<T>(
+    mut f: impl FnMut() -> Result<T, Box<dyn std::error::Error>>,
+) -> Result<(T, f64, f64), Box<dyn std::error::Error>> {
+    let mut samples = Vec::with_capacity(P5_SAMPLES);
+    let mut last = None;
+    for _ in 0..P5_SAMPLES {
+        let t0 = Instant::now();
+        last = Some(f()?);
+        samples.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    samples.sort_by(|a, b| a.total_cmp(b));
+    let n = samples.len();
+    let out = last.expect("P5_SAMPLES > 0");
+    Ok((out, samples[n / 2], samples[3 * n / 4] - samples[n / 4]))
+}
+
 /// P5: prover workloads — the pre-Oracle sequential sweeps (one fresh
-/// compile-and-search per cylinder class / cover piece) vs the shared
-/// compiled Oracle with parallel kernels. Prints the comparison table and
-/// emits `BENCH_provers.json` for the committed record.
+/// compile-and-search per cylinder class / cover piece) vs one Oracle
+/// per proof with parallel kernels; both sides include their compiles.
+/// Prints the comparison table and emits `BENCH_provers.json` for the
+/// committed record.
 fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
     use sd_core::cover::PieceStrategy;
     use sd_core::{solve, CompileBudget, Engine, StateSet};
 
     println!("\n== P5: prover engines — sequential per-call vs shared Oracle ==");
     let budget = CompileBudget::default();
-    let median = |mut samples: Vec<f64>| -> f64 {
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
-    };
-    // Adaptive repetition: fast configurations get 5 samples, slow ones
-    // are not run to death.
-    let enough = |samples: &[f64]| samples.len() >= 5 || (samples.len() >= 2 && samples[0] > 500.0);
 
     let mut t = Table::new(&[
         "workload",
         "states",
         "units",
-        "sequential ms",
-        "oracle ms",
+        "sequential ms (IQR)",
+        "oracle ms (IQR)",
         "speedup",
         "agree",
     ]);
@@ -1166,9 +1185,7 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
         // Pre-Oracle sequential path, exactly as the seed implemented it:
         // enumerate the `=A=` classes as decoded states, then one full
         // `depends` call — fresh compile, fresh search state — per class.
-        let mut samples = Vec::new();
-        let seq_solution = loop {
-            let t0 = Instant::now();
+        let (seq_solution, seq_ms, seq_iqr) = p5_sample(|| {
             let mut sol = StateSet::new(ns);
             for class in sd_core::depend::classes(&sys, &Phi::True, &sources)? {
                 let mut cyl = StateSet::new(ns);
@@ -1187,46 +1204,39 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
                     sol.union_with(&cyl);
                 }
             }
-            samples.push(t0.elapsed().as_secs_f64() * 1e3);
-            if enough(&samples) {
-                break sol;
-            }
-        };
-        let seq_ms = median(samples);
+            Ok(sol)
+        })?;
 
-        let mut samples = Vec::new();
-        let (oracle_solution, compiles) = loop {
-            let t0 = Instant::now();
-            let (phi_max, stats) =
-                solve::unique_maximal_independent_solution_stats(&sys, &sources, sink)?;
-            samples.push(t0.elapsed().as_secs_f64() * 1e3);
-            if enough(&samples) {
-                break (phi_max, stats.compiles);
-            }
-        };
-        let oracle_ms = median(samples);
+        let ((oracle_solution, compiles), oracle_ms, oracle_iqr) = p5_sample(|| {
+            let oracle = Oracle::new(&sys)?;
+            let phi_max = solve::unique_maximal_independent_solution(&oracle, &sources, sink)?;
+            Ok((phi_max, oracle.stats().compiles))
+        })?;
         let agree = oracle_solution.sat(&sys)? == seq_solution && compiles == 1;
 
         t.row(&[
             name.clone(),
             ns.to_string(),
             format!("{n_classes} classes"),
-            format!("{seq_ms:.3}"),
-            format!("{oracle_ms:.3}"),
+            format!("{seq_ms:.3} ({seq_iqr:.3})"),
+            format!("{oracle_ms:.3} ({oracle_iqr:.3})"),
             format!("{:.2}x", seq_ms / oracle_ms),
             yes(agree),
         ]);
         json_rows.push(format!(
             concat!(
                 "    {{\"workload\": {:?}, \"states\": {}, \"classes\": {}, ",
-                "\"sequential_ms\": {:.3}, \"oracle_ms\": {:.3}, ",
+                "\"sequential_ms\": {:.3}, \"sequential_iqr_ms\": {:.3}, ",
+                "\"oracle_ms\": {:.3}, \"oracle_iqr_ms\": {:.3}, ",
                 "\"speedup\": {:.2}, \"agree\": {}}}"
             ),
             name,
             ns,
             n_classes,
             seq_ms,
+            seq_iqr,
             oracle_ms,
+            oracle_iqr,
             seq_ms / oracle_ms,
             agree
         ));
@@ -1269,9 +1279,7 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
         // Pre-Oracle sequential path, as the seed implemented Thm 4-5:
         // per-piece independence checks, the coverage check, then one
         // fresh exact search per piece.
-        let mut samples = Vec::new();
-        let seq_proved = loop {
-            let t0 = Instant::now();
+        let (seq_proved, seq_ms, seq_iqr) = p5_sample(|| {
             let mut proved = true;
             'seq: {
                 for piece in &cover {
@@ -1303,52 +1311,45 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
                     }
                 }
             }
-            samples.push(t0.elapsed().as_secs_f64() * 1e3);
-            if enough(&samples) {
-                break proved;
-            }
-        };
-        let seq_ms = median(samples);
+            Ok(proved)
+        })?;
 
-        let mut samples = Vec::new();
-        let oracle_proved = loop {
-            let t0 = Instant::now();
+        let (oracle_proved, oracle_ms, oracle_iqr) = p5_sample(|| {
             let out = sd_core::cover::prove_separation_of_variety(
-                &sys,
+                &Oracle::new(&sys)?,
                 &Phi::True,
                 &cover,
                 &a,
                 beta,
                 PieceStrategy::ExactBfs,
             )?;
-            samples.push(t0.elapsed().as_secs_f64() * 1e3);
-            if enough(&samples) {
-                break out.is_proved();
-            }
-        };
-        let oracle_ms = median(samples);
+            Ok(out.is_proved())
+        })?;
         let agree = seq_proved == oracle_proved;
 
         t.row(&[
             name.clone(),
             ns.to_string(),
             format!("{} pieces", cover.len()),
-            format!("{seq_ms:.3}"),
-            format!("{oracle_ms:.3}"),
+            format!("{seq_ms:.3} ({seq_iqr:.3})"),
+            format!("{oracle_ms:.3} ({oracle_iqr:.3})"),
             format!("{:.2}x", seq_ms / oracle_ms),
             yes(agree),
         ]);
         json_rows.push(format!(
             concat!(
                 "    {{\"workload\": {:?}, \"states\": {}, \"pieces\": {}, ",
-                "\"sequential_ms\": {:.3}, \"oracle_ms\": {:.3}, ",
+                "\"sequential_ms\": {:.3}, \"sequential_iqr_ms\": {:.3}, ",
+                "\"oracle_ms\": {:.3}, \"oracle_iqr_ms\": {:.3}, ",
                 "\"speedup\": {:.2}, \"agree\": {}}}"
             ),
             name,
             ns,
             cover.len(),
             seq_ms,
+            seq_iqr,
             oracle_ms,
+            oracle_iqr,
             seq_ms / oracle_ms,
             agree
         ));
@@ -1357,8 +1358,23 @@ fn p5_provers() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", t.render());
     println!("expected: oracle ≥5x on the maximal-solution workloads with ≥64 classes");
 
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
     let json = format!(
-        "{{\n  \"benchmark\": \"provers\",\n  \"unit\": \"wall_ms\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        concat!(
+            "{{\n  \"benchmark\": \"provers\",\n",
+            "  \"command\": \"cargo run -p sd-bench --bin experiments --release -- p5\",\n",
+            "  \"git_rev\": {:?},\n  \"samples_per_row\": {},\n",
+            "  \"statistic\": \"median wall ms per proof; *_iqr_ms = q3 - q1 (nearest rank)\",\n",
+            "  \"unit\": \"wall_ms\",\n  \"rows\": [\n{}\n  ]\n}}\n"
+        ),
+        rev,
+        P5_SAMPLES,
         json_rows.join(",\n")
     );
     std::fs::write("BENCH_provers.json", json)?;

@@ -3,8 +3,9 @@
 //! `[H]φ` characterizes the states reachable by executing `H` from a state
 //! initially satisfying φ. Because states are finite, `[H]φ` is computed
 //! extensionally as the image of Sat(φ) under `H`. The module also
-//! enumerates *all* image sets reachable over any history — the basis for
-//! the exact inductive-cover check (Def 6-2).
+//! enumerates *all* image sets reachable over any history against an
+//! [`Oracle`] — the basis for the exact inductive-cover check (Def 6-2) and
+//! for Corollary 6-5.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -44,17 +45,11 @@ pub fn after_history_phi(sys: &System, phi: &Phi, h: &History) -> Result<Phi> {
 /// Enumerates every distinct image set `[H]φ` over all histories H.
 ///
 /// The sets form a transition system (`[Hδ]φ = δ([H]φ)`), so a BFS with
-/// memoization suffices. `max_sets` bounds the exploration; the default used
+/// memoization suffices; each step maps the current image through the
+/// Oracle's successor function (compiled rows, or the interpreter on an
+/// interpreted Oracle). `max_sets` bounds the exploration; the default used
 /// by [`reachable_images`] is generous for the systems in this crate.
-pub fn reachable_images_bounded(sys: &System, phi: &Phi, max_sets: usize) -> Result<Vec<StateSet>> {
-    let oracle = Oracle::new(sys)?;
-    reachable_images_bounded_with(&oracle, phi, max_sets)
-}
-
-/// [`reachable_images_bounded`] against a prepared [`Oracle`]: each BFS
-/// step maps the current image through the Oracle's successor function
-/// (compiled rows, or the interpreter on an interpreted Oracle).
-pub fn reachable_images_bounded_with(
+pub fn reachable_images_bounded(
     oracle: &Oracle,
     phi: &Phi,
     max_sets: usize,
@@ -95,14 +90,8 @@ pub fn reachable_images_bounded_with(
 }
 
 /// [`reachable_images_bounded`] with a default bound of 65 536 sets.
-pub fn reachable_images(sys: &System, phi: &Phi) -> Result<Vec<StateSet>> {
-    let oracle = Oracle::new(sys)?;
-    reachable_images_with(&oracle, phi)
-}
-
-/// [`reachable_images`] against a prepared [`Oracle`].
-pub fn reachable_images_with(oracle: &Oracle, phi: &Phi) -> Result<Vec<StateSet>> {
-    reachable_images_bounded_with(oracle, phi, 1 << 16)
+pub fn reachable_images(oracle: &Oracle, phi: &Phi) -> Result<Vec<StateSet>> {
+    reachable_images_bounded(oracle, phi, 1 << 16)
 }
 
 /// Theorem 6-1 as a runtime check: `φ(σ) ⊃ [H]φ(H(σ))` for all σ, H of
@@ -188,7 +177,7 @@ mod tests {
         let phi = Phi::expr(Expr::var(a).lt(Expr::int(10)));
         assert!(classify::is_invariant(&sys, &phi).unwrap());
         let sat = phi.sat(&sys).unwrap();
-        for img in reachable_images(&sys, &phi).unwrap() {
+        for img in reachable_images(&Oracle::new(&sys).unwrap(), &phi).unwrap() {
             assert!(img.is_subset(&sat));
         }
     }
@@ -200,7 +189,7 @@ mod tests {
         let sys = sec_6_2_system();
         let a = sys.universe().obj("alpha").unwrap();
         let phi = Phi::expr(Expr::var(a).lt(Expr::int(10)));
-        let images = reachable_images(&sys, &phi).unwrap();
+        let images = reachable_images(&Oracle::new(&sys).unwrap(), &phi).unwrap();
         assert_eq!(images.len(), 2);
     }
 
@@ -209,7 +198,8 @@ mod tests {
         let sys = sec_6_2_system();
         let a = sys.universe().obj("alpha").unwrap();
         let phi = Phi::expr(Expr::var(a).lt(Expr::int(10)));
-        assert!(reachable_images_bounded(&sys, &phi, 1).is_err());
+        let oracle = Oracle::new(&sys).unwrap();
+        assert!(reachable_images_bounded(&oracle, &phi, 1).is_err());
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! no `State` is decoded until a witness is returned. The invariance check
 //! additionally reads successors through `Oracle::with_succ`.
 
+use crate::compiled::{CompileBudget, Engine};
 use crate::constraint::Phi;
 use crate::error::Result;
 use crate::fastmap::{U64Set, U64U64Map};
@@ -150,8 +151,11 @@ pub fn is_invariant(sys: &System, phi: &Phi) -> Result<bool> {
 ///
 /// The witness is canonical: the first escaping pair in (state code,
 /// operation index) order.
+///
+/// The check needs δ only on Sat(φ), so the one-shot Oracle interprets
+/// those |Sat(φ)|·|Δ| successors rather than compiling all |Σ|·|Δ|.
 pub fn invariance_witness(sys: &System, phi: &Phi) -> Result<Option<(State, OpId)>> {
-    let oracle = Oracle::new(sys)?;
+    let oracle = Oracle::with_engine(sys, Engine::Interpreted, &CompileBudget::default(), None)?;
     invariance_witness_with(&oracle, phi)
 }
 

@@ -8,6 +8,10 @@
 //! that every `[H]φ` is contained in some `φi` lets the per-operation
 //! induction checks be discharged piecewise — this is exactly how Floyd
 //! assertions enter in §6.5.
+//!
+//! The provers and the exact cover check take an [`Oracle`], so the pieces,
+//! the image enumeration and the caller's other questions share one
+//! compile.
 
 use crate::certificate::{Certificate, Fact, ProofOutcome};
 use crate::classify;
@@ -50,25 +54,10 @@ pub enum PieceStrategy {
 /// Theorem 4-5 as a proof technique: given an A-independent cover `{φi}`,
 /// if `¬A ▷(φ∧φi) β` for every i, then `¬A ▷φ β`.
 ///
-/// Compiles the system once and discharges every piece against the shared
-/// [`Oracle`]; see [`prove_separation_of_variety_with`].
+/// The pieces are discharged in parallel against the shared [`Oracle`],
+/// then merged in piece order so the reported first failure (and the
+/// recorded sub-certificates) are identical to a sequential sweep.
 pub fn prove_separation_of_variety(
-    sys: &System,
-    phi: &Phi,
-    cover: &[Phi],
-    a: &ObjSet,
-    beta: ObjId,
-    strategy: PieceStrategy,
-) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_separation_of_variety_with(&oracle, phi, cover, a, beta, strategy)
-}
-
-/// [`prove_separation_of_variety`] against a prepared [`Oracle`]: the
-/// pieces are discharged in parallel over the shared compiled system, then
-/// merged in piece order so the reported first failure (and the recorded
-/// sub-certificates) are identical to a sequential sweep.
-pub fn prove_separation_of_variety_with(
     oracle: &Oracle,
     phi: &Phi,
     cover: &[Phi],
@@ -133,7 +122,7 @@ pub fn prove_separation_of_variety_with(
                             Ok(Ok(c))
                         }
                         PieceStrategy::Cor56 => {
-                            match crate::induction::prove_cor_5_6_with(oracle, &conj, a, beta)? {
+                            match crate::induction::prove_cor_5_6(oracle, &conj, a, beta)? {
                                 ProofOutcome::Proved(c) => Ok(Ok(c)),
                                 ProofOutcome::Inapplicable(r) => {
                                     Ok(Err(format!("piece {i}: Corollary 5-6 failed: {r}")))
@@ -141,7 +130,7 @@ pub fn prove_separation_of_variety_with(
                             }
                         }
                         PieceStrategy::Cor65 => {
-                            match crate::induction::prove_cor_6_5_with(oracle, &conj, a, beta)? {
+                            match crate::induction::prove_cor_6_5(oracle, &conj, a, beta)? {
                                 ProofOutcome::Proved(c) => Ok(Ok(c)),
                                 ProofOutcome::Inapplicable(r) => {
                                     Ok(Err(format!("piece {i}: Corollary 6-5 failed: {r}")))
@@ -168,16 +157,10 @@ pub fn prove_separation_of_variety_with(
 
 /// Whether `{φi}` is an inductive cover for φ (Def 6-2): every reachable
 /// `[H]φ` is contained in some φi. Exact, via image-set enumeration.
-pub fn is_inductive_cover(sys: &System, phi: &Phi, cover: &[Phi]) -> Result<bool> {
-    let oracle = Oracle::new(sys)?;
-    is_inductive_cover_with(&oracle, phi, cover)
-}
-
-/// [`is_inductive_cover`] against a prepared [`Oracle`].
-pub fn is_inductive_cover_with(oracle: &Oracle, phi: &Phi, cover: &[Phi]) -> Result<bool> {
+pub fn is_inductive_cover(oracle: &Oracle, phi: &Phi, cover: &[Phi]) -> Result<bool> {
     let sys = oracle.system();
     let sats: Vec<StateSet> = cover.iter().map(|p| p.sat(sys)).collect::<Result<_>>()?;
-    for image in crate::after::reachable_images_with(oracle, phi)? {
+    for image in crate::after::reachable_images(oracle, phi)? {
         if !sats.iter().any(|s| image.is_subset(s)) {
             return Ok(false);
         }
@@ -209,21 +192,10 @@ pub fn is_inductive_cover_one_step(sys: &System, phi: &Phi, cover: &[Phi]) -> Re
 /// and, globally, either no operation spreads differences out of A under
 /// any φi, or no operation creates a new difference at β under any φi,
 /// then `¬A ▷φ β`.
+///
+/// The Def 6-2 image enumeration and the Corollary 5-6 disjunction over
+/// the cover's satisfying sets share the [`Oracle`]'s compile.
 pub fn prove_inductive_cover(
-    sys: &System,
-    phi: &Phi,
-    cover: &[Phi],
-    a: &ObjSet,
-    beta: ObjId,
-) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_inductive_cover_with(&oracle, phi, cover, a, beta)
-}
-
-/// [`prove_inductive_cover`] against a prepared [`Oracle`]: the Def 6-2
-/// image enumeration and the Corollary 5-6 disjunction over the cover's
-/// satisfying sets share one compile.
-pub fn prove_inductive_cover_with(
     oracle: &Oracle,
     phi: &Phi,
     cover: &[Phi],
@@ -234,7 +206,7 @@ pub fn prove_inductive_cover_with(
     if a.contains(beta) {
         return Ok(ProofOutcome::Inapplicable("β ∈ A".into()));
     }
-    if !is_inductive_cover_with(oracle, phi, cover)? {
+    if !is_inductive_cover(oracle, phi, cover)? {
         return Ok(ProofOutcome::Inapplicable(
             "{φi} is not an inductive cover for φ (Def 6-2)".into(),
         ));
@@ -296,21 +268,8 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::op::{Cmd, Op};
+    use crate::query::exact_depends;
     use crate::universe::{Domain, Universe};
-
-    /// Exact `A ▷φ β` verdict through the Query builder.
-    fn exact_depends(
-        sys: &System,
-        phi: &Phi,
-        a: &ObjSet,
-        beta: crate::universe::ObjId,
-    ) -> Option<crate::reach::DependsWitness> {
-        crate::query::Query::new(phi.clone(), a.clone())
-            .beta(beta)
-            .run_on(sys)
-            .unwrap()
-            .into_witness()
-    }
 
     /// The §4.4/§4.6 non-transitive system:
     /// δ1: if q then m ← α; δ2: if ¬q then β ← m.
@@ -350,9 +309,16 @@ mod tests {
         let cover = vec![Phi::expr(Expr::var(q)), Phi::expr(Expr::var(q).not())];
         let src = ObjSet::singleton(a);
         assert!(is_independent_cover(&sys, &cover, &src).unwrap());
-        let out =
-            prove_separation_of_variety(&sys, &Phi::True, &cover, &src, b, PieceStrategy::ExactBfs)
-                .unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let out = prove_separation_of_variety(
+            &oracle,
+            &Phi::True,
+            &cover,
+            &src,
+            b,
+            PieceStrategy::ExactBfs,
+        )
+        .unwrap();
         assert!(out.is_proved(), "{:?}", out.reason());
         // Exact oracle agrees.
         assert!(exact_depends(&sys, &Phi::True, &src, b).is_none());
@@ -380,9 +346,16 @@ mod tests {
         );
         let cover = vec![Phi::expr(Expr::var(m)), Phi::expr(Expr::var(m).not())];
         let src = ObjSet::singleton(a);
-        let out =
-            prove_separation_of_variety(&sys, &Phi::True, &cover, &src, b, PieceStrategy::ExactBfs)
-                .unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let out = prove_separation_of_variety(
+            &oracle,
+            &Phi::True,
+            &cover,
+            &src,
+            b,
+            PieceStrategy::ExactBfs,
+        )
+        .unwrap();
         assert!(!out.is_proved());
         assert!(out.reason().unwrap().contains("piece 0"));
         // The m = ff piece on its own does block the flow (paper's point:
@@ -404,9 +377,16 @@ mod tests {
         ];
         let src = ObjSet::singleton(a);
         assert!(!is_independent_cover(&sys, &cover, &src).unwrap());
-        let out =
-            prove_separation_of_variety(&sys, &Phi::True, &cover, &src, b, PieceStrategy::ExactBfs)
-                .unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let out = prove_separation_of_variety(
+            &oracle,
+            &Phi::True,
+            &cover,
+            &src,
+            b,
+            PieceStrategy::ExactBfs,
+        )
+        .unwrap();
         assert!(out.reason().unwrap().contains("not A-independent"));
     }
 
@@ -419,7 +399,7 @@ mod tests {
         let q = u.obj("q").unwrap();
         let cover = vec![Phi::expr(Expr::var(q))];
         let out = prove_separation_of_variety(
-            &sys,
+            &Oracle::new(&sys).unwrap(),
             &Phi::True,
             &cover,
             &ObjSet::singleton(a),
@@ -456,9 +436,10 @@ mod tests {
             Phi::expr(Expr::var(a).eq(Expr::int(37))),
             Phi::expr(Expr::var(a).eq(Expr::int(-37))),
         ];
-        assert!(is_inductive_cover(&sys, &phi, &cover).unwrap());
+        let oracle = Oracle::new(&sys).unwrap();
+        assert!(is_inductive_cover(&oracle, &phi, &cover).unwrap());
         assert!(is_inductive_cover_one_step(&sys, &phi, &cover).unwrap());
-        let out = prove_inductive_cover(&sys, &phi, &cover, &ObjSet::singleton(a), b).unwrap();
+        let out = prove_inductive_cover(&oracle, &phi, &cover, &ObjSet::singleton(a), b).unwrap();
         assert!(out.is_proved(), "{:?}", out.reason());
         assert!(exact_depends(&sys, &phi, &ObjSet::singleton(a), b).is_none());
 
@@ -480,7 +461,7 @@ mod tests {
         let q = u.obj("q").unwrap();
         // {q} alone is not an inductive cover for tt (misses ¬q states).
         let cover = vec![Phi::expr(Expr::var(q))];
-        assert!(!is_inductive_cover(&sys, &Phi::True, &cover).unwrap());
+        assert!(!is_inductive_cover(&Oracle::new(&sys).unwrap(), &Phi::True, &cover).unwrap());
         assert!(!is_inductive_cover_one_step(&sys, &Phi::True, &cover).unwrap());
     }
 

@@ -17,9 +17,9 @@
 //! (see DESIGN.md): "differences confined to A stay confined to A" and
 //! "no operation creates a new difference at β".
 //!
-//! Every prover has a `_with` variant taking a prepared [`Oracle`]: the
-//! system compiles once, per-operation checks read δ through
-//! `Oracle::with_succ` (compiled rows, or the interpreter on an
+//! Every prover takes a prepared [`Oracle`]: the system compiles once for
+//! all of the caller's proofs and queries, per-operation checks read δ
+//! through `Oracle::with_succ` (compiled rows, or the interpreter on an
 //! interpreted Oracle), and the `(constraint set, operation)` check matrix
 //! is discharged in parallel. Grouping inside the kernels uses arithmetic
 //! projection keys over packed `u64` codes — no `State` is decoded on the
@@ -164,20 +164,11 @@ fn render_objset(sys: &System, a: &ObjSet) -> String {
 /// Corollary 5-6: for invariant φ and β ∉ A, if no operation spreads
 /// differences out of A, or no operation creates a new difference at β,
 /// then `¬A ▷φ β`.
-pub fn prove_cor_5_6(sys: &System, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_cor_5_6_with(&oracle, phi, a, beta)
-}
-
-/// [`prove_cor_5_6`] against a prepared [`Oracle`]: the compile, Sat(φ)
-/// enumeration and successor rows are shared with the caller's other
-/// queries, and the per-operation checks run in parallel.
-pub fn prove_cor_5_6_with(
-    oracle: &Oracle,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: ObjId,
-) -> Result<ProofOutcome> {
+///
+/// The compile, Sat(φ) enumeration and successor rows are the
+/// [`Oracle`]'s, shared with the caller's other queries; the
+/// per-operation checks run in parallel.
+pub fn prove_cor_5_6(oracle: &Oracle, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<ProofOutcome> {
     let sys = oracle.system();
     if a.contains(beta) {
         return Ok(ProofOutcome::Inapplicable("β ∈ A".into()));
@@ -278,24 +269,19 @@ pub(crate) fn disjunction(
 /// # Examples
 ///
 /// ```
-/// use sd_core::{examples, induction, Expr, Phi};
+/// use sd_core::{examples, induction, Expr, Oracle, Phi};
 ///
 /// let sys = examples::guarded_copy_system(2)?;
 /// let u = sys.universe();
 /// let (alpha, beta, m) = (u.obj("alpha")?, u.obj("beta")?, u.obj("m")?);
 /// let phi = Phi::expr(Expr::var(m).not());
-/// let outcome = induction::prove_cor_4_2(&sys, &phi, alpha, beta)?;
+/// let oracle = Oracle::new(&sys)?;
+/// let outcome = induction::prove_cor_4_2(&oracle, &phi, alpha, beta)?;
 /// let cert = outcome.certificate().expect("φ = ¬m blocks the copy");
 /// assert!(cert.conclusion.contains("beta"));
 /// # Ok::<(), sd_core::Error>(())
 /// ```
-pub fn prove_cor_4_2(sys: &System, phi: &Phi, alpha: ObjId, beta: ObjId) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_cor_4_2_with(&oracle, phi, alpha, beta)
-}
-
-/// [`prove_cor_4_2`] against a prepared [`Oracle`].
-pub fn prove_cor_4_2_with(
+pub fn prove_cor_4_2(
     oracle: &Oracle,
     phi: &Phi,
     alpha: ObjId,
@@ -369,22 +355,11 @@ fn op_sinks_kernel(
 /// `∀x, y: x ▷φ y ⊃ q(x, y)`.
 ///
 /// This is the engine behind Security-Problem style proofs, with
-/// `q(x, y) ≡ Cls(x) ≤ Cls(y)`.
+/// `q(x, y) ≡ Cls(x) ≤ Cls(y)`. The per-`(operation, source)` sink sets
+/// are computed in parallel over the [`Oracle`]'s successor rows, then
+/// checked against q in the sequential sweep order, so the reported first
+/// violation is identical.
 pub fn prove_cor_4_3(
-    sys: &System,
-    phi: &Phi,
-    q: &dyn Fn(ObjId, ObjId) -> bool,
-    q_name: &str,
-) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_cor_4_3_with(&oracle, phi, q, q_name)
-}
-
-/// [`prove_cor_4_3`] against a prepared [`Oracle`]: the per-`(operation,
-/// source)` sink sets are computed in parallel over compiled successor
-/// rows, then checked against q in the sequential sweep order, so the
-/// reported first violation is identical.
-pub fn prove_cor_4_3_with(
     oracle: &Oracle,
     phi: &Phi,
     q: &dyn Fn(ObjId, ObjId) -> bool,
@@ -463,25 +438,14 @@ pub fn prove_cor_4_3_with(
 
 /// Corollary 6-5: for arbitrary (possibly non-invariant) φ and β ∉ A,
 /// the Cor 5-6 disjunction checked over *every* reachable `[H]φ` proves
-/// `¬A ▷φ β`.
-pub fn prove_cor_6_5(sys: &System, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<ProofOutcome> {
-    let oracle = Oracle::new(sys)?;
-    prove_cor_6_5_with(&oracle, phi, a, beta)
-}
-
-/// [`prove_cor_6_5`] against a prepared [`Oracle`]: image enumeration and
-/// the disjunction over all images share one compile.
-pub fn prove_cor_6_5_with(
-    oracle: &Oracle,
-    phi: &Phi,
-    a: &ObjSet,
-    beta: ObjId,
-) -> Result<ProofOutcome> {
+/// `¬A ▷φ β`. Image enumeration and the disjunction over all images share
+/// the [`Oracle`]'s compile.
+pub fn prove_cor_6_5(oracle: &Oracle, phi: &Phi, a: &ObjSet, beta: ObjId) -> Result<ProofOutcome> {
     let sys = oracle.system();
     if a.contains(beta) {
         return Ok(ProofOutcome::Inapplicable("β ∈ A".into()));
     }
-    let images = crate::after::reachable_images_with(oracle, phi)?;
+    let images = crate::after::reachable_images(oracle, phi)?;
     let mut cert = Certificate::new(
         "Corollary 6-5",
         format!(
@@ -650,21 +614,8 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::op::{Cmd, Op};
+    use crate::query::exact_depends;
     use crate::universe::{Domain, Universe};
-
-    /// Exact `A ▷φ β` verdict through the Query builder.
-    fn exact_depends(
-        sys: &System,
-        phi: &Phi,
-        a: &ObjSet,
-        beta: crate::universe::ObjId,
-    ) -> Option<crate::reach::DependsWitness> {
-        crate::query::Query::new(phi.clone(), a.clone())
-            .beta(beta)
-            .run_on(sys)
-            .unwrap()
-            .into_witness()
-    }
 
     /// δ: if m then β ← α, from §3.2.
     fn guarded_copy() -> System {
@@ -696,7 +647,7 @@ mod tests {
         let b = u.obj("beta").unwrap();
         let m = u.obj("m").unwrap();
         let phi = Phi::expr(Expr::var(m).not());
-        let out = prove_cor_4_2(&sys, &phi, a, b).unwrap();
+        let out = prove_cor_4_2(&Oracle::new(&sys).unwrap(), &phi, a, b).unwrap();
         let cert = out.certificate().expect("should prove");
         assert!(cert.facts.contains(&Fact::Autonomous));
         // Cross-check against the exact oracle.
@@ -709,7 +660,7 @@ mod tests {
         let u = sys.universe();
         let a = u.obj("alpha").unwrap();
         let b = u.obj("beta").unwrap();
-        let out = prove_cor_4_2(&sys, &Phi::True, a, b).unwrap();
+        let out = prove_cor_4_2(&Oracle::new(&sys).unwrap(), &Phi::True, a, b).unwrap();
         assert!(!out.is_proved());
         // And indeed the flow exists.
         assert!(exact_depends(&sys, &Phi::True, &ObjSet::singleton(a), b).is_some());
@@ -722,7 +673,7 @@ mod tests {
         let a = u.obj("alpha").unwrap();
         let b = u.obj("beta").unwrap();
         let phi = Phi::expr(Expr::var(a).eq(Expr::var(b)));
-        let out = prove_cor_4_2(&sys, &phi, a, b).unwrap();
+        let out = prove_cor_4_2(&Oracle::new(&sys).unwrap(), &phi, a, b).unwrap();
         assert_eq!(out.reason(), Some("φ is not autonomous"));
     }
 
@@ -758,10 +709,11 @@ mod tests {
         assert!(classify::is_invariant(&sys, &phi).unwrap());
         assert!(!classify::is_autonomous(&sys, &phi).unwrap());
         // β does flow from α here, so the proof must fail…
-        let out = prove_cor_5_6(&sys, &phi, &ObjSet::singleton(a), b).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let out = prove_cor_5_6(&oracle, &phi, &ObjSet::singleton(a), b).unwrap();
         assert!(!out.is_proved());
         // …but {β} is genuinely isolated as a source: nothing reads β.
-        let out2 = prove_cor_5_6(&sys, &phi, &ObjSet::singleton(b), m1).unwrap();
+        let out2 = prove_cor_5_6(&oracle, &phi, &ObjSet::singleton(b), m1).unwrap();
         assert!(out2.is_proved(), "{:?}", out2.reason());
         assert!(exact_depends(&sys, &phi, &ObjSet::singleton(b), m1).is_none());
     }
@@ -771,7 +723,8 @@ mod tests {
         let sys = guarded_copy();
         let u = sys.universe();
         let a = u.obj("alpha").unwrap();
-        let out = prove_cor_5_6(&sys, &Phi::True, &ObjSet::singleton(a), a).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let out = prove_cor_5_6(&oracle, &Phi::True, &ObjSet::singleton(a), a).unwrap();
         assert_eq!(out.reason(), Some("β ∈ A"));
     }
 
@@ -785,7 +738,7 @@ mod tests {
         let m = u.obj("m").unwrap();
         let phi = Phi::expr(Expr::var(m).not());
         let q = |x: ObjId, y: ObjId| x == y;
-        let out = prove_cor_4_3(&sys, &phi, &q, "identity").unwrap();
+        let out = prove_cor_4_3(&Oracle::new(&sys).unwrap(), &phi, &q, "identity").unwrap();
         assert!(out.is_proved(), "{:?}", out.reason());
     }
 
@@ -799,7 +752,7 @@ mod tests {
         let phi = Phi::expr(Expr::var(m).not());
         // q relating a→b and b→m but not a→m is not transitive.
         let q = move |x: ObjId, y: ObjId| x == y || (x == a && y == b) || (x == b && y == m);
-        let out = prove_cor_4_3(&sys, &phi, &q, "broken").unwrap();
+        let out = prove_cor_4_3(&Oracle::new(&sys).unwrap(), &phi, &q, "broken").unwrap();
         assert!(out.reason().unwrap().contains("not transitive"));
     }
 
@@ -827,11 +780,12 @@ mod tests {
         );
         let phi = Phi::expr(Expr::var(a).eq(Expr::int(37)));
         assert!(!classify::is_invariant(&sys, &phi).unwrap());
-        let out = prove_cor_6_5(&sys, &phi, &ObjSet::singleton(a), b).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let out = prove_cor_6_5(&oracle, &phi, &ObjSet::singleton(a), b).unwrap();
         assert!(out.is_proved(), "{:?}", out.reason());
         assert!(exact_depends(&sys, &phi, &ObjSet::singleton(a), b).is_none());
         // Cor 5-6 is inapplicable here (φ not invariant).
-        let weak = prove_cor_5_6(&sys, &phi, &ObjSet::singleton(a), b).unwrap();
+        let weak = prove_cor_5_6(&oracle, &phi, &ObjSet::singleton(a), b).unwrap();
         assert!(!weak.is_proved());
     }
 
@@ -848,10 +802,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_oracle_provers_match_free_functions() {
-        // One Oracle of each engine discharging all four provers, the image
-        // enumeration and the invariance witness must agree with the
-        // per-call entry points; the compiled ones compile exactly once.
+    fn compiled_oracles_match_interpreted_oracle() {
+        // All four provers, the image enumeration and the invariance
+        // witness must answer identically on a compiled Oracle of either
+        // table layout and on the interpreted one; only the compiled ones
+        // compile, exactly once.
         use crate::compiled::{CompileBudget, Engine};
         let sys = guarded_copy();
         let u = sys.universe();
@@ -861,48 +816,46 @@ mod tests {
         let blocked = Phi::expr(Expr::var(m).not());
         // β = 0 is not invariant: the copy writes β.
         let escapes = Phi::expr(Expr::var(b).eq(Expr::int(0)));
+        let src = ObjSet::singleton(a);
+        let oracle = |engine| Oracle::with_engine(&sys, engine, &CompileBudget::default(), None);
+        let reference = oracle(Engine::Interpreted).unwrap();
         for (engine, name) in [
-            (Engine::Interpreted, "interpreted"),
             (Engine::CompiledDense, "compiled-dense"),
             (Engine::CompiledSparse, "compiled-sparse"),
         ] {
-            let oracle =
-                Oracle::with_engine(&sys, engine, &CompileBudget::default(), None).unwrap();
-            assert_eq!(oracle.engine_name(), name);
+            let compiled = oracle(engine).unwrap();
+            assert_eq!(compiled.engine_name(), name);
             for phi in [&blocked, &escapes, &Phi::True] {
-                let shared = [
-                    prove_cor_4_2_with(&oracle, phi, a, b).unwrap(),
-                    prove_cor_5_6_with(&oracle, phi, &ObjSet::singleton(a), b).unwrap(),
-                    prove_cor_6_5_with(&oracle, phi, &ObjSet::singleton(a), b).unwrap(),
-                    prove_cor_4_3_with(&oracle, phi, &|x, y| x == y, "identity").unwrap(),
-                ];
-                let free = [
-                    prove_cor_4_2(&sys, phi, a, b).unwrap(),
-                    prove_cor_5_6(&sys, phi, &ObjSet::singleton(a), b).unwrap(),
-                    prove_cor_6_5(&sys, phi, &ObjSet::singleton(a), b).unwrap(),
-                    prove_cor_4_3(&sys, phi, &|x, y| x == y, "identity").unwrap(),
-                ];
-                for (s, f) in shared.iter().zip(&free) {
-                    assert_eq!(s.is_proved(), f.is_proved(), "{name}");
-                    assert_eq!(s.reason(), f.reason(), "{name}");
-                    assert_eq!(s.certificate(), f.certificate(), "{name}");
+                let prove = |o: &Oracle| {
+                    [
+                        prove_cor_4_2(o, phi, a, b).unwrap(),
+                        prove_cor_5_6(o, phi, &src, b).unwrap(),
+                        prove_cor_6_5(o, phi, &src, b).unwrap(),
+                        prove_cor_4_3(o, phi, &|x, y| x == y, "identity").unwrap(),
+                    ]
+                };
+                for (c, r) in prove(&compiled).iter().zip(&prove(&reference)) {
+                    assert_eq!(c.is_proved(), r.is_proved(), "{name}");
+                    assert_eq!(c.reason(), r.reason(), "{name}");
+                    assert_eq!(c.certificate(), r.certificate(), "{name}");
                 }
                 assert_eq!(
-                    crate::after::reachable_images_with(&oracle, phi).unwrap(),
-                    crate::after::reachable_images(&sys, phi).unwrap(),
+                    crate::after::reachable_images(&compiled, phi).unwrap(),
+                    crate::after::reachable_images(&reference, phi).unwrap(),
                     "{name}"
                 );
                 assert_eq!(
-                    classify::invariance_witness_with(&oracle, phi).unwrap(),
-                    classify::invariance_witness(&sys, phi).unwrap(),
+                    classify::invariance_witness_with(&compiled, phi).unwrap(),
+                    classify::invariance_witness_with(&reference, phi).unwrap(),
                     "{name}"
                 );
             }
-            assert!(classify::invariance_witness_with(&oracle, &escapes)
+            assert!(classify::invariance_witness_with(&compiled, &escapes)
                 .unwrap()
                 .is_some());
-            let compiles = u64::from(engine != Engine::Interpreted);
-            assert_eq!(oracle.stats().compiles, compiles, "{name}");
+            assert_eq!(compiled.stats().compiles, 1, "{name}");
         }
+        assert_eq!(reference.engine_name(), "interpreted");
+        assert_eq!(reference.stats().compiles, 0);
     }
 }

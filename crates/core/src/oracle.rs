@@ -24,8 +24,9 @@
 //! the one public way to ask. One-shot [`crate::query::Query::run_on`]
 //! runs construct a short-lived Oracle per call, so there is exactly one
 //! code path; [`crate::query::Query::run`] and the provers
-//! ([`crate::solve`], [`crate::cover`], [`crate::induction`]) share one
-//! Oracle across many searches, which is where the compile-once payoff
+//! ([`crate::solve`], [`crate::cover`], [`crate::induction`],
+//! [`crate::after`]) take the caller's Oracle, so many searches and
+//! proofs share one compile, which is where the compile-once payoff
 //! lands.
 //!
 //! # When does an Oracle interpret instead of compiling?

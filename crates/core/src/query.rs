@@ -452,6 +452,22 @@ impl Query {
     }
 }
 
+/// Exact `A ▷φ β` witness through a one-shot run, shared by the unit
+/// tests that cross-check the provers.
+#[cfg(test)]
+pub(crate) fn exact_depends(
+    sys: &System,
+    phi: &Phi,
+    a: &ObjSet,
+    beta: ObjId,
+) -> Option<DependsWitness> {
+    Query::new(phi.clone(), a.clone())
+        .beta(beta)
+        .run_on(sys)
+        .unwrap()
+        .into_witness()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

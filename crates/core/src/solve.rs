@@ -19,18 +19,6 @@ use crate::reach::SearchLimits;
 use crate::system::System;
 use crate::universe::{ObjId, ObjSet};
 
-/// Diagnostics from one maximal-solution construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Cylinder classes of the `=A=` partition examined.
-    pub classes: u64,
-    /// Times the system was compiled — always ≤ 1, because the whole
-    /// sweep shares one [`Oracle`].
-    pub compiles: u64,
-    /// Pair searches run (one per cylinder class).
-    pub searches: u64,
-}
-
 /// Constructs the unique maximal A-independent solution to
 /// `X(φ) ≡ ¬A ▷φ β ∧ φ A-independent`, as an extensional constraint.
 ///
@@ -41,40 +29,26 @@ pub struct SolveStats {
 /// cylinders is the unique maximal solution (this is Thm 3-1 made
 /// constructive).
 ///
-/// The system is compiled once; the per-cylinder searches run in
-/// parallel against the shared [`Oracle`] (see
-/// [`unique_maximal_independent_solution_stats`] for the counters).
-pub fn unique_maximal_independent_solution(
-    sys: &System,
-    sources: &ObjSet,
-    sink: ObjId,
-) -> Result<Phi> {
-    Ok(unique_maximal_independent_solution_stats(sys, sources, sink)?.0)
-}
-
-/// [`unique_maximal_independent_solution`], also reporting how much work
-/// the sweep did — in particular that the system was compiled exactly
-/// once for all cylinder classes.
-pub fn unique_maximal_independent_solution_stats(
-    sys: &System,
-    sources: &ObjSet,
-    sink: ObjId,
-) -> Result<(Phi, SolveStats)> {
-    let oracle = Oracle::new(sys)?;
-    let phi = unique_maximal_independent_solution_with(&oracle, sources, sink)?;
-    let os = oracle.stats();
-    let stats = SolveStats {
-        classes: os.searches,
-        compiles: os.compiles,
-        searches: os.searches,
-    };
-    Ok((phi, stats))
-}
-
-/// [`unique_maximal_independent_solution`] against a caller-held
+/// The per-cylinder searches run in parallel against the caller's
 /// [`Oracle`], so several solves (different sources/sinks) share one
-/// compile.
-pub fn unique_maximal_independent_solution_with(
+/// compile; [`Oracle::stats`] counts the searches.
+///
+/// # Examples
+///
+/// ```
+/// use sd_core::{examples, solve, Expr, ObjSet, Oracle, Phi};
+///
+/// let sys = examples::guarded_copy_system(2)?;
+/// let u = sys.universe();
+/// let (alpha, beta, m) = (u.obj("alpha")?, u.obj("beta")?, u.obj("m")?);
+/// let oracle = Oracle::new(&sys)?;
+/// let phi_max = solve::unique_maximal_independent_solution(&oracle, &ObjSet::singleton(alpha), beta)?;
+/// // The largest α-independent constraint blocking α ▷ β is ¬m.
+/// assert_eq!(phi_max.sat(&sys)?, Phi::expr(Expr::var(m).not()).sat(&sys)?);
+/// assert_eq!(oracle.stats().compiles, 1);
+/// # Ok::<(), sd_core::Error>(())
+/// ```
+pub fn unique_maximal_independent_solution(
     oracle: &Oracle<'_>,
     sources: &ObjSet,
     sink: ObjId,
@@ -235,21 +209,9 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::op::{Cmd, Op};
+    use crate::query::exact_depends;
     use crate::universe::{Domain, Universe};
 
-    /// Exact `A ▷φ β` verdict through the Query builder.
-    fn exact_depends(
-        sys: &System,
-        phi: &Phi,
-        a: &ObjSet,
-        beta: crate::universe::ObjId,
-    ) -> Option<crate::reach::DependsWitness> {
-        crate::query::Query::new(phi.clone(), a.clone())
-            .beta(beta)
-            .run_on(sys)
-            .unwrap()
-            .into_witness()
-    }
     use crate::value::{Rights, Value};
 
     /// δ: if α ≤ 10 then β ← 0 else β ← 1, α ∈ 0..=12 (§3.5, scaled to a
@@ -344,7 +306,9 @@ mod tests {
                 Cmd::when(Expr::var(m), Cmd::assign(b, Expr::var(a))),
             )],
         );
-        let phi_max = unique_maximal_independent_solution(&sys, &ObjSet::singleton(a), b).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let phi_max =
+            unique_maximal_independent_solution(&oracle, &ObjSet::singleton(a), b).unwrap();
         // It is a solution, it is α-independent, and it equals ¬m
         // extensionally.
         let strict = Problem::no_flow(ObjSet::singleton(a), b, true);
@@ -388,7 +352,9 @@ mod tests {
                 Cmd::when(guard, Cmd::assign(b, Expr::var(a))),
             )],
         );
-        let computed = unique_maximal_independent_solution(&sys, &ObjSet::singleton(a), b).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let computed =
+            unique_maximal_independent_solution(&oracle, &ObjSet::singleton(a), b).unwrap();
         let expected = Phi::expr(
             Expr::var(xx)
                 .has_rights(Rights::S)
@@ -405,16 +371,17 @@ mod tests {
         let u = sys.universe();
         let a = u.obj("alpha").unwrap();
         let b = u.obj("beta").unwrap();
-        let (phi, stats) =
-            unique_maximal_independent_solution_stats(&sys, &ObjSet::singleton(a), b).unwrap();
+        let oracle = Oracle::new(&sys).unwrap();
+        let phi = unique_maximal_independent_solution(&oracle, &ObjSet::singleton(a), b).unwrap();
+        let classes = crate::depend::classes(&sys, &Phi::True, &ObjSet::singleton(a)).unwrap();
+        let stats = oracle.stats();
         assert_eq!(stats.compiles, 1, "one compile for the whole sweep");
-        assert!(stats.classes >= 1);
-        assert_eq!(stats.searches, stats.classes);
+        assert_eq!(stats.searches, classes.len() as u64, "one search per class");
         // Same extensional result as the pre-Oracle sequential path:
         // one per-cylinder exact `depends` query per class.
         let n = sys.state_count().unwrap();
         let mut expected = StateSet::new(n);
-        for class in crate::depend::classes(&sys, &Phi::True, &ObjSet::singleton(a)).unwrap() {
+        for class in classes {
             let mut cyl = StateSet::new(n);
             for s in &class {
                 cyl.insert(s.encode(u));

@@ -3,6 +3,7 @@
 //! induction corollaries) must be observationally identical — same
 //! verdicts, same witnesses, same certificates down to the recorded
 //! facts — to a sequential per-call sweep over the interpreted engine.
+//! Each prover runs on an Oracle of every engine.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -21,6 +22,22 @@ const BUDGET: CompileBudget = CompileBudget {
     max_dense_entries: 1 << 24,
     max_dense_pair_bits: 1 << 28,
 };
+
+/// Every engine a prover is tested on, with the compiles its Oracle
+/// must report.
+const ENGINES: [(Engine, u64); 3] = [
+    (Engine::Interpreted, 0),
+    (Engine::CompiledDense, 1),
+    (Engine::CompiledSparse, 1),
+];
+
+/// One Oracle per entry of [`ENGINES`], in that order.
+fn oracles(sys: &System) -> Vec<Oracle<'_>> {
+    ENGINES
+        .iter()
+        .map(|&(engine, _)| Oracle::with_engine(sys, engine, &BUDGET, None).unwrap())
+        .collect()
+}
 
 /// Reference verdict: a fresh interpreted-engine search through the
 /// `Query` one-shot path, pinned to the shared test budget.
@@ -400,6 +417,17 @@ fn assert_outcomes_equal(got: &ProofOutcome, reference: &ProofOutcome, label: &s
     }
 }
 
+/// A prover run against one Oracle.
+type Prover<'p> = dyn Fn(&Oracle) -> sd_core::Result<ProofOutcome> + 'p;
+
+/// Asserts that `prove` yields `reference` on the Oracle of every engine.
+fn assert_every_engine(oracles: &[Oracle], reference: &ProofOutcome, label: &str, prove: &Prover) {
+    for (oracle, (engine, _)) in oracles.iter().zip(ENGINES) {
+        let got = prove(oracle).unwrap();
+        assert_outcomes_equal(&got, reference, &format!("{label}, {engine:?}"));
+    }
+}
+
 #[test]
 fn oracle_depends_matches_interpreted() {
     for seed in 0..80u64 {
@@ -488,14 +516,15 @@ fn maximal_solution_matches_interpreted_cylinder_sweep() {
             }
         }
 
-        let (got, stats) =
-            solve::unique_maximal_independent_solution_stats(&sys, &sources, sink).unwrap();
-        assert_eq!(
-            got.sat(&sys).unwrap(),
-            reference,
-            "maximal solution mismatch at seed {seed}"
-        );
-        assert_eq!(stats.compiles, 1, "solve must compile exactly once");
+        for (oracle, (engine, compiles)) in oracles(&sys).iter().zip(ENGINES) {
+            let got = solve::unique_maximal_independent_solution(oracle, &sources, sink).unwrap();
+            assert_eq!(
+                got.sat(&sys).unwrap(),
+                reference,
+                "maximal solution mismatch at seed {seed} on {engine:?}"
+            );
+            assert_eq!(oracle.stats().compiles, compiles, "{engine:?} compiles");
+        }
     }
 }
 
@@ -508,26 +537,30 @@ fn induction_provers_match_interpreted_references() {
         let ids: Vec<_> = u.objects().collect();
         let phi = random_phi(&sys, &mut rng);
         let a = ObjSet::singleton(ids[rng.gen_range(0..ids.len())]);
+        let alpha = a.iter().next().unwrap();
+        let oracles = oracles(&sys);
+        let label = |what: &str| format!("{what}, seed {seed}");
         for &beta in &ids {
-            let got = induction::prove_cor_5_6(&sys, &phi, &a, beta).unwrap();
             let reference = ref_cor_5_6(&sys, &phi, &a, beta);
-            assert_outcomes_equal(&got, &reference, &format!("cor 5-6, seed {seed}"));
-
-            let got = induction::prove_cor_6_5(&sys, &phi, &a, beta).unwrap();
+            assert_every_engine(&oracles, &reference, &label("cor 5-6"), &|o| {
+                induction::prove_cor_5_6(o, &phi, &a, beta)
+            });
             let reference = ref_cor_6_5(&sys, &phi, &a, beta);
-            assert_outcomes_equal(&got, &reference, &format!("cor 6-5, seed {seed}"));
-
-            let alpha = a.iter().next().unwrap();
-            let got = induction::prove_cor_4_2(&sys, &phi, alpha, beta).unwrap();
+            assert_every_engine(&oracles, &reference, &label("cor 6-5"), &|o| {
+                induction::prove_cor_6_5(o, &phi, &a, beta)
+            });
             let reference = ref_cor_4_2(&sys, &phi, alpha, beta);
-            assert_outcomes_equal(&got, &reference, &format!("cor 4-2, seed {seed}"));
+            assert_every_engine(&oracles, &reference, &label("cor 4-2"), &|o| {
+                induction::prove_cor_4_2(o, &phi, alpha, beta)
+            });
         }
         // Cor 4-3 under a random preorder: q(x, y) ≡ rank(x) ≤ rank(y).
         let ranks: Vec<u32> = ids.iter().map(|_| rng.gen_range(0..3)).collect();
         let q = |x: ObjId, y: ObjId| ranks[x.index()] <= ranks[y.index()];
-        let got = induction::prove_cor_4_3(&sys, &phi, &q, "rank-leq").unwrap();
         let reference = ref_cor_4_3(&sys, &phi, &q, "rank-leq");
-        assert_outcomes_equal(&got, &reference, &format!("cor 4-3, seed {seed}"));
+        assert_every_engine(&oracles, &reference, &label("cor 4-3"), &|o| {
+            induction::prove_cor_4_3(o, &phi, &q, "rank-leq")
+        });
     }
 }
 
@@ -549,15 +582,17 @@ fn separation_of_variety_matches_interpreted_reference() {
             .map(|v| Phi::expr(Expr::var(splitter).eq(Expr::int(v))))
             .collect();
         let beta = ids[rng.gen_range(1..ids.len())];
+        let oracles = oracles(&sys);
         for strategy in [
             PieceStrategy::ExactBfs,
             PieceStrategy::Cor56,
             PieceStrategy::Cor65,
         ] {
-            let got =
-                cover::prove_separation_of_variety(&sys, &phi, &cover, &a, beta, strategy).unwrap();
             let reference = ref_separation(&sys, &phi, &cover, &a, beta, strategy);
-            assert_outcomes_equal(&got, &reference, &format!("SoV {strategy:?}, seed {seed}"));
+            let label = format!("SoV {strategy:?}, seed {seed}");
+            assert_every_engine(&oracles, &reference, &label, &|o| {
+                cover::prove_separation_of_variety(o, &phi, &cover, &a, beta, strategy)
+            });
         }
     }
 }
@@ -618,11 +653,14 @@ fn inductive_cover_matches_interpreted_reference() {
         let split: Vec<Phi> = (0..u.domain(splitter).size() as i64)
             .map(|v| Phi::expr(Expr::var(splitter).eq(Expr::int(v))))
             .collect();
+        let oracles = oracles(&sys);
         for cover in [vec![Phi::True], split] {
             for &beta in &ids[1..] {
-                let got = cover::prove_inductive_cover(&sys, &phi, &cover, &a, beta).unwrap();
                 let reference = ref_inductive_cover(&sys, &phi, &cover, &a, beta);
-                assert_outcomes_equal(&got, &reference, &format!("Thm 6-7, seed {seed}"));
+                let label = format!("Thm 6-7, seed {seed}");
+                assert_every_engine(&oracles, &reference, &label, &|o| {
+                    cover::prove_inductive_cover(o, &phi, &cover, &a, beta)
+                });
                 let branch = match &reference {
                     ProofOutcome::Proved(c)
                         if matches!(c.facts.last(), Some(Fact::NoSpreadFrom { .. })) =>

@@ -10,7 +10,7 @@
 
 use sd_core::certificate::ProofOutcome;
 use sd_core::problem::Problem;
-use sd_core::{ObjId, Phi, Result, Rights};
+use sd_core::{ObjId, Oracle, Phi, Result, Rights};
 
 use crate::model::Matrix;
 
@@ -85,7 +85,8 @@ impl SecurityPolicy {
     pub fn prove(&self, m: &Matrix, phi: &Phi) -> Result<ProofOutcome> {
         let cls = self.cls.clone();
         let q = move |x: ObjId, y: ObjId| cls[x.index()] <= cls[y.index()];
-        sd_core::induction::prove_cor_4_3(&m.system, phi, &q, "Cls ≤")
+        let oracle = Oracle::new(&m.system)?;
+        sd_core::induction::prove_cor_4_3(&oracle, phi, &q, "Cls ≤")
     }
 
     /// Decides the Security Problem exactly.

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --example pointer_chains --release`.
 
-use strong_dependency::core::{examples, induction, ObjId, ObjSet, Phi, Query, Value};
+use strong_dependency::core::{examples, induction, ObjId, ObjSet, Oracle, Phi, Query, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 4;
@@ -47,7 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // respect of q imply every dependency respects q.
     let chain_q = chain.clone();
     let q = move |x: ObjId, y: ObjId| !chain_q.contains(x) || chain_q.contains(y);
-    let outcome = induction::prove_cor_4_3(&sys, &phi, &q, "Chain(x) ⊃ Chain(y)")?;
+    let oracle = Oracle::new(&sys)?;
+    let outcome = induction::prove_cor_4_3(&oracle, &phi, &q, "Chain(x) ⊃ Chain(y)")?;
     match outcome.certificate() {
         Some(cert) => println!("\n{cert}"),
         None => println!("induction failed: {:?}", outcome.reason()),
@@ -56,14 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Cross-check with the exact oracle.
     let exact = Query::new(phi.clone(), ObjSet::singleton(alpha))
         .beta(beta)
-        .run_on(&sys)?
+        .run(&oracle)?
         .into_witness();
     println!("exact pair-reachability: α ▷φ β = {}", exact.is_some());
 
     // Sanity: without φ, pointers can be re-aimed at α and the flow exists.
     let free = Query::new(Phi::True, ObjSet::singleton(alpha))
         .beta(beta)
-        .run_on(&sys)?
+        .run(&oracle)?
         .into_witness();
     match free {
         Some(w) => println!(

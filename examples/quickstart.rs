@@ -4,7 +4,8 @@
 //! Run with `cargo run --example quickstart`.
 
 use strong_dependency::core::{
-    classify, problem::Problem, solve, Cmd, Domain, Expr, ObjSet, Op, Phi, Query, System, Universe,
+    classify, induction, problem::Problem, solve, Cmd, Domain, Expr, ObjSet, Op, Oracle, Phi,
+    Query, System, Universe,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,12 +28,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sys.validate()?;
     println!("{sys}");
 
+    // One Oracle compiles the system once; the queries and provers below
+    // share it.
+    let oracle = Oracle::new(&sys)?;
+
     // Can information be transmitted from α to β? (Def 2-7, decided by
     // pair reachability.)
     let src = ObjSet::singleton(alpha);
     match Query::new(Phi::True, src.clone())
         .beta(beta)
-        .run_on(&sys)?
+        .run(&oracle)?
         .into_witness()
     {
         Some(w) => {
@@ -60,13 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // A certificate via Strong Dependency Induction (Corollary 4-2).
-    let outcome = strong_dependency::core::induction::prove_cor_4_2(&sys, &phi, alpha, beta)?;
+    let outcome = induction::prove_cor_4_2(&oracle, &phi, alpha, beta)?;
     if let Some(cert) = outcome.certificate() {
         println!("\n{cert}");
     }
 
     // The *maximal* α-independent solution, constructed (Thm 3-1).
-    let phi_max = solve::unique_maximal_independent_solution(&sys, &src, beta)?;
+    let phi_max = solve::unique_maximal_independent_solution(&oracle, &src, beta)?;
     println!(
         "maximal solution admits {} of {} states (φ = ¬m admits {})",
         phi_max.sat(&sys)?.count(),

@@ -9,8 +9,9 @@
 //! Measurement model: one calibration call picks an iteration count
 //! aiming at ~40 ms per sample (slow benchmarks degrade gracefully to a
 //! single iteration and fewer samples), then the configured number of
-//! samples is timed and the per-iteration mean of the *best* sample is
-//! reported — a simple but robust lower-bound estimator.
+//! samples is timed. The report gives the per-iteration time of the
+//! *median* sample, the interquartile range (q3 − q1, nearest rank) of
+//! the per-iteration sample times, and the sample count.
 
 #![forbid(unsafe_code)]
 
@@ -142,15 +143,28 @@ impl Bencher {
         }
     }
 
+    /// Median and interquartile range of the per-iteration sample
+    /// times, in seconds; `None` before any sample is recorded.
+    fn median_iqr(&self) -> Option<(f64, f64)> {
+        let mut per_iter: Vec<f64> = self
+            .samples
+            .iter()
+            .map(|s| s.as_secs_f64() / self.iters_per_sample as f64)
+            .collect();
+        per_iter.sort_by(f64::total_cmp);
+        let n = per_iter.len();
+        (n > 0).then(|| (per_iter[n / 2], per_iter[3 * n / 4] - per_iter[n / 4]))
+    }
+
     fn report(&self, group: &str, id: &str) {
-        let Some(best) = self.samples.iter().min() else {
+        let Some((median, iqr)) = self.median_iqr() else {
             println!("{group}/{id}: no samples recorded");
             return;
         };
-        let per_iter = best.as_secs_f64() / self.iters_per_sample as f64;
         println!(
-            "{group}/{id}: {} per iter ({} iters x {} samples)",
-            format_seconds(per_iter),
+            "{group}/{id}: {} per iter median, IQR {} ({} iters x {} samples)",
+            format_seconds(median),
+            format_seconds(iqr),
             self.iters_per_sample,
             self.samples.len()
         );
@@ -208,6 +222,24 @@ mod tests {
         });
         g.finish();
         assert!(calls > 0);
+    }
+
+    #[test]
+    fn median_and_iqr_use_nearest_rank() {
+        let b = Bencher {
+            max_samples: 5,
+            samples: [9, 1, 5, 3, 7].map(Duration::from_millis).to_vec(),
+            iters_per_sample: 1,
+        };
+        let (median, iqr) = b.median_iqr().unwrap();
+        assert!((median - 5e-3).abs() < 1e-12);
+        assert!((iqr - (7e-3 - 3e-3)).abs() < 1e-12);
+        let empty = Bencher {
+            max_samples: 5,
+            samples: Vec::new(),
+            iters_per_sample: 1,
+        };
+        assert!(empty.median_iqr().is_none());
     }
 
     #[test]
