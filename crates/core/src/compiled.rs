@@ -7,15 +7,14 @@
 //! can instead be *compiled once*: each operation becomes a dense
 //! successor table `next[code · |Δ| + op] → code'` of `u32` codes, and
 //! per-object index extraction becomes two integer divisions against
-//! precomputed 64-bit strides ([`CompiledSystem::obj_index`]) instead of
-//! the `u128` arithmetic in `Universe::stride`.
+//! 64-bit strides instead of the `u128` arithmetic in `Universe::stride`.
 //!
 //! Two table layouts are provided, chosen by [`CompileBudget`]:
 //!
 //! - **Dense** (`|Σ| · |Δ|` within budget): every successor is
 //!   precomputed up front, in parallel over state-code ranges.
 //! - **Sparse**: successor rows are interpreted on first touch and
-//!   memoised in a [`SparseMemo`], so each *reached* state is
+//!   memoised, so each *reached* state is
 //!   interpreted exactly once for all operations — the BFS in
 //!   `reach` typically touches a tiny fraction of `Σ²` pairs but a
 //!   larger fraction of `Σ`, and this caps interpretation cost at
@@ -31,10 +30,16 @@ use crate::history::OpId;
 use crate::state::State;
 use crate::system::System;
 use crate::telemetry::{QueryEvent, Trace};
-use crate::universe::ObjId;
+use crate::universe::DEFAULT_ENUM_LIMIT;
 
 /// Dense-table sentinel: "this operation errors on this state".
 const POISON32: u32 = u32::MAX;
+
+// A system enumerates at most `DEFAULT_ENUM_LIMIT` (2²⁶) states, so every
+// state code fits a `u32` dense cell without meeting `POISON32`, and a
+// packed `u64` pair key `c1 · |Σ| + c2` cannot overflow.
+const _: () = assert!(DEFAULT_ENUM_LIMIT < POISON32 as u128);
+
 /// 64-bit poison sentinel used by sparse rows and [`CompiledSystem::succ`].
 pub(crate) const POISON: u64 = u64::MAX;
 
@@ -74,7 +79,7 @@ pub enum Engine {
     CompiledSparse,
 }
 
-/// Table layout chosen for a [`CompiledSystem`].
+/// Table layout an [`crate::oracle::Oracle`] compiled to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableKind {
     /// Upfront `|Σ| · |Δ|` table.
@@ -89,16 +94,11 @@ pub enum TableKind {
 /// by reference across scoped worker threads — this is what lets
 /// [`crate::query::Query::matrix`] compile once for all worth-matrix
 /// rows.
-pub struct CompiledSystem<'s> {
+pub(crate) struct CompiledSystem<'s> {
     sys: &'s System,
     ns: u64,
     num_ops: usize,
-    /// Per-object stride, narrowed to u64 (valid because `|Σ|` fits u64).
-    strides: Vec<u64>,
-    /// Per-object domain size, narrowed likewise.
-    dom_sizes: Vec<u64>,
     kind: TableKind,
-    budget: CompileBudget,
     /// State-major dense table: `dense[code · num_ops + op]`. Empty when
     /// `kind` is [`TableKind::Sparse`].
     dense: Vec<u32>,
@@ -108,17 +108,10 @@ pub struct CompiledSystem<'s> {
 /// search (it is the only mutable part of the machinery), while the
 /// [`CompiledSystem`] itself stays shared.
 #[derive(Default)]
-pub struct SparseMemo {
+pub(crate) struct SparseMemo {
     /// State code → offset of its row in `rows` (row length = `num_ops`).
     index: U64U64Map,
     rows: Vec<u64>,
-}
-
-impl SparseMemo {
-    /// Number of states whose successor rows have been computed.
-    pub fn states_expanded(&self) -> usize {
-        self.index.len()
-    }
 }
 
 /// One state's successor row, borrowed from whichever table layout the
@@ -153,10 +146,9 @@ impl<'s> CompiledSystem<'s> {
     /// Compiles `sys` under `engine` and `budget`.
     ///
     /// [`Engine::Auto`] (and, for convenience, [`Engine::Interpreted`])
-    /// selects dense tables when `|Σ| · |Δ|` fits the budget and codes
-    /// fit `u32`, sparse otherwise. Forcing [`Engine::CompiledDense`]
-    /// beyond the `u32` code range is an error.
-    pub fn compile(
+    /// selects dense tables when `|Σ| · |Δ|` fits the budget, sparse
+    /// otherwise.
+    pub(crate) fn compile(
         sys: &'s System,
         engine: Engine,
         budget: &CompileBudget,
@@ -164,32 +156,17 @@ impl<'s> CompiledSystem<'s> {
         let ns = sys.state_count()?;
         let num_ops = sys.num_ops();
         let entries = ns.saturating_mul(num_ops.max(1) as u64);
-        let dense_feasible = ns < u64::from(u32::MAX);
         let kind = match engine {
-            Engine::CompiledDense => {
-                if !dense_feasible {
-                    return Err(Error::Invalid(format!(
-                        "state space of {ns} states does not fit dense u32 codes"
-                    )));
-                }
-                TableKind::Dense
-            }
+            Engine::CompiledDense => TableKind::Dense,
             Engine::CompiledSparse => TableKind::Sparse,
             Engine::Auto | Engine::Interpreted => {
-                if dense_feasible && entries <= budget.max_dense_entries {
+                if entries <= budget.max_dense_entries {
                     TableKind::Dense
                 } else {
                     TableKind::Sparse
                 }
             }
         };
-        let u = sys.universe();
-        let mut strides = Vec::with_capacity(u.num_objects());
-        let mut dom_sizes = Vec::with_capacity(u.num_objects());
-        for obj in u.objects() {
-            strides.push(u.stride(obj) as u64);
-            dom_sizes.push(u.domain(obj).size() as u64);
-        }
         let dense = if kind == TableKind::Dense {
             build_dense(sys, ns, num_ops)
         } else {
@@ -199,17 +176,9 @@ impl<'s> CompiledSystem<'s> {
             sys,
             ns,
             num_ops,
-            strides,
-            dom_sizes,
             kind,
-            budget: *budget,
             dense,
         })
-    }
-
-    /// Compiles with [`Engine::Auto`] and the default budget.
-    pub fn auto(sys: &'s System) -> Result<CompiledSystem<'s>> {
-        CompiledSystem::compile(sys, Engine::Auto, &CompileBudget::default())
     }
 
     /// The underlying system.
@@ -230,19 +199,6 @@ impl<'s> CompiledSystem<'s> {
     /// Which table layout was chosen.
     pub fn kind(&self) -> TableKind {
         self.kind
-    }
-
-    /// The budget the system was compiled under.
-    pub fn budget(&self) -> &CompileBudget {
-        &self.budget
-    }
-
-    /// Extracts the domain index of `obj` from an encoded state without
-    /// decoding — the compiled counterpart of `State::index`.
-    #[inline]
-    pub fn obj_index(&self, code: u64, obj: ObjId) -> u32 {
-        let i = obj.index();
-        ((code / self.strides[i]) % self.dom_sizes[i]) as u32
     }
 
     /// Successor of `code` under operation `op`, or [`POISON`] when the
@@ -483,19 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn obj_index_matches_decode() {
-        let sys = examples::m1m2_system(3).unwrap();
-        let u = sys.universe();
-        let cs = CompiledSystem::auto(&sys).unwrap();
-        for code in 0..sys.state_count().unwrap() {
-            let sigma = State::decode(u, code);
-            for obj in u.objects() {
-                assert_eq!(cs.obj_index(code, obj), sigma.index(obj));
-            }
-        }
-    }
-
-    #[test]
     fn auto_respects_budget() {
         let sys = examples::copy_system(8).unwrap();
         let tiny = CompileBudget {
@@ -504,14 +447,13 @@ mod tests {
         };
         let cs = CompiledSystem::compile(&sys, Engine::Auto, &tiny).unwrap();
         assert_eq!(cs.kind(), TableKind::Sparse);
-        let cs = CompiledSystem::auto(&sys).unwrap();
+        let cs = CompiledSystem::compile(&sys, Engine::Auto, &CompileBudget::default()).unwrap();
         assert_eq!(cs.kind(), TableKind::Dense);
     }
 
     #[test]
     fn poison_surfaces_interpreter_error() {
-        // copy_system(3) with enum limit large enough, but an op writing
-        // out of domain: build via with_enum_limit on an invalid system.
+        // An op writing out of its domain on one state.
         use crate::expr::Expr;
         use crate::op::{Cmd, Op};
         use crate::universe::{Domain, Universe};

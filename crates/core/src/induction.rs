@@ -404,7 +404,7 @@ pub fn prove_cor_4_3(
     let dims = u.dims();
     let parts: Vec<SatPartition> = objs
         .iter()
-        .map(|&x| oracle.partition(phi, &ObjSet::singleton(x), oracle.sink_ref()))
+        .map(|&x| oracle.partition(phi, &ObjSet::singleton(x)))
         .collect::<Result<_>>()?;
     let pairs: Vec<(usize, usize)> = (0..sys.num_ops())
         .flat_map(|op| (0..objs.len()).map(move |xi| (op, xi)))

@@ -7,9 +7,8 @@
 //! system and re-enumerated Sat(φ) per call; an [`Oracle`] pins those
 //! system-wide artefacts in one place instead:
 //!
-//! - the [`CompiledSystem`] successor tables, built **once** at
-//!   construction (or not at all when the engine falls back to the
-//!   interpreter — see below);
+//! - the compiled successor tables, built **once** at construction (or
+//!   not at all when the engine is the interpreter — see below);
 //! - interned `Sat(φ)` enumerations, keyed by structural φ equality
 //!   (never re-enumerated for a φ the Oracle has already seen);
 //! - a pool of reusable search buffers (visited structure, BFS node
@@ -31,11 +30,11 @@
 //!
 //! # When does an Oracle interpret instead of compiling?
 //!
-//! [`Engine::Interpreted`] never compiles. [`Engine::Auto`] compiles
-//! unless the state space has ≥ 2³² states (packed `u64` pair keys no
-//! longer fit); in that case every search runs on the interpreted
-//! reference engine and [`OracleStats::compiles`] stays 0. Within the
-//! compiled regime, `Auto` picks dense tables when they fit the
+//! Only under [`Engine::Interpreted`]; then every search runs on the
+//! interpreted reference engine and [`OracleStats::compiles`] stays 0.
+//! Every other engine compiles: a [`System`] enumerates at most 2²⁶
+//! states, so state codes always fit the `u32` dense tables and packed
+//! `u64` pair keys. [`Engine::Auto`] picks dense tables when they fit the
 //! [`CompileBudget`] and lazy sparse rows otherwise — or, for the
 //! short-lived Oracle of a one-shot run, when the query's φ has a thin
 //! satisfying set.
@@ -48,7 +47,7 @@ use crate::compiled::{
 };
 use crate::constraint::Phi;
 use crate::depend::{self, SatPartition};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::history::OpId;
 use crate::reach::{
     self, compiled_search, interpreted_search, DependsWitness, SearchBuffers, SearchLimits,
@@ -164,12 +163,8 @@ impl<'s> Oracle<'s> {
         sink: Option<Arc<dyn Sink>>,
     ) -> Result<Oracle<'s>> {
         let ns = sys.state_count()?;
-        let compiled = if reach::wants_interpreter(engine, ns) {
+        let compiled = if engine == Engine::Interpreted {
             None
-        } else if ns >= reach::MAX_COMPILED_STATES {
-            return Err(Error::Invalid(format!(
-                "state space of {ns} states exceeds the compiled pair-key range"
-            )));
         } else {
             let engine = reach::refine_auto(engine, sat_hint.unwrap_or(ns), ns);
             if let Some(s) = &sink {
@@ -254,12 +249,18 @@ impl<'s> Oracle<'s> {
     /// The interned `Sat(φ)` enumeration (ascending state codes),
     /// computing and caching it on first use.
     pub fn sat_codes(&self, phi: &Phi) -> Result<Arc<Vec<u64>>> {
-        self.sat_codes_at(phi, self.sink_ref())
+        Ok(self.sat_codes_at(phi, self.sink_ref())?.0)
     }
 
     /// [`Oracle::sat_codes`] reporting hit/miss events to an explicit
-    /// sink (a per-query sink overriding the Oracle's own).
-    pub(crate) fn sat_codes_at(&self, phi: &Phi, sink: Option<&dyn Sink>) -> Result<Arc<Vec<u64>>> {
+    /// sink (a per-query sink overriding the Oracle's own). The flag is
+    /// `true` when this lookup was served from the cache, matching the
+    /// [`QueryEvent::PartitionHit`] it reported.
+    pub(crate) fn sat_codes_at(
+        &self,
+        phi: &Phi,
+        sink: Option<&dyn Sink>,
+    ) -> Result<(Arc<Vec<u64>>, bool)> {
         {
             let cache = self.sat_cache.lock().expect("sat cache lock");
             if let Some((_, codes)) = cache.iter().find(|(p, _)| p.cache_eq(phi)) {
@@ -268,7 +269,7 @@ impl<'s> Oracle<'s> {
                         states: codes.len() as u64,
                     });
                 }
-                return Ok(Arc::clone(codes));
+                return Ok((Arc::clone(codes), true));
             }
         }
         // Enumerate outside the lock; on a race the first entry wins so
@@ -281,21 +282,16 @@ impl<'s> Oracle<'s> {
         }
         let mut cache = self.sat_cache.lock().expect("sat cache lock");
         if let Some((_, existing)) = cache.iter().find(|(p, _)| p.cache_eq(phi)) {
-            return Ok(Arc::clone(existing));
+            return Ok((Arc::clone(existing), false));
         }
         cache.push((phi.clone(), Arc::clone(&codes)));
-        Ok(codes)
+        Ok((codes, false))
     }
 
     /// `Sat(φ)` partitioned into `=A=` classes, from the interned
-    /// enumeration; cache events go to `sink`.
-    pub(crate) fn partition(
-        &self,
-        phi: &Phi,
-        a: &ObjSet,
-        sink: Option<&dyn Sink>,
-    ) -> Result<SatPartition> {
-        let codes = self.sat_codes_at(phi, sink)?;
+    /// enumeration; cache events go to the Oracle's sink.
+    pub(crate) fn partition(&self, phi: &Phi, a: &ObjSet) -> Result<SatPartition> {
+        let (codes, _) = self.sat_codes_at(phi, self.sink_ref())?;
         Ok(SatPartition::from_codes(self.sys.universe(), &codes, a))
     }
 
@@ -381,27 +377,23 @@ impl<'s> Oracle<'s> {
         Ok((out, counters))
     }
 
-    /// One sinks row per source set, sharing the interned Sat(φ)
-    /// enumeration; rows run in parallel on scoped threads, each
+    /// One sinks row per source set, all over one Sat(φ) enumeration
+    /// `codes`; rows run in parallel on scoped threads, each
     /// borrowing buffers from the pool. The rows' cost records are
     /// folded into one (summed pairs and work, max depth). The limits
     /// apply to each row's search independently; the deadline is shared,
     /// so the whole matrix respects it.
     pub(crate) fn sinks_matrix(
         &self,
-        phi: &Phi,
+        codes: &[u64],
         sources: &[ObjSet],
         limits: &SearchLimits,
         sink: Option<&dyn Sink>,
     ) -> Result<(Vec<ObjSet>, TraceCounters)> {
         let mut totals = TraceCounters::default();
-        if sources.is_empty() {
-            return Ok((Vec::new(), totals));
-        }
-        let codes = self.sat_codes_at(phi, sink)?;
         let u = self.sys.universe();
         let row = |src: &ObjSet| -> Result<(ObjSet, TraceCounters)> {
-            let part = SatPartition::from_codes(u, &codes, src);
+            let part = SatPartition::from_codes(u, codes, src);
             self.sinks_partition(&part, limits, sink)
         };
         let chunked: Vec<Vec<Result<(ObjSet, TraceCounters)>>> =
@@ -416,23 +408,20 @@ impl<'s> Oracle<'s> {
     }
 
     /// `A ▷φ β` over histories of length ≤ `max_len` (see
-    /// [`crate::query::Query::bounded`]): one interned partition is
-    /// shared across every enumerated history. The deadline is checked
-    /// between histories (the pair budget does not apply to bounded
-    /// enumeration, which visits no pairs).
+    /// [`crate::query::Query::bounded`]): one partition is shared across
+    /// every enumerated history. The deadline is checked between
+    /// histories (the pair budget does not apply to bounded enumeration,
+    /// which visits no pairs).
     pub(crate) fn depends_bounded(
         &self,
-        phi: &Phi,
-        a: &ObjSet,
+        part: &SatPartition,
         beta: ObjId,
         max_len: usize,
         limits: &SearchLimits,
-        sink: Option<&dyn Sink>,
     ) -> Result<Option<DependsWitness>> {
-        let part = self.partition(phi, a, sink)?;
         for h in crate::history::histories_up_to(self.sys.num_ops(), max_len) {
             limits.check_deadline()?;
-            if let Some(w) = depend::strongly_depends_after_with(self.sys, &part, beta, &h)? {
+            if let Some(w) = depend::strongly_depends_after_with(self.sys, part, beta, &h)? {
                 return Ok(Some(DependsWitness {
                     history: h,
                     sigma1: w.sigma1,
@@ -505,6 +494,7 @@ impl Succ<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::examples;
     use crate::query::Query;
 

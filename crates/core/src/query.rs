@@ -48,6 +48,7 @@ use std::time::{Duration, Instant};
 
 use crate::compiled::{CompileBudget, Engine, TableKind};
 use crate::constraint::Phi;
+use crate::depend::SatPartition;
 use crate::error::{Error, Result};
 use crate::fastmap::Fnv64;
 use crate::oracle::Oracle;
@@ -387,42 +388,43 @@ impl Query {
 
     /// The shared execution core. `fresh` is true when `oracle` was
     /// built by this very run (one-shot), which determines the report's
-    /// cache attribution.
+    /// cache attribution: its Sat(φ) lookup always hits the enumeration
+    /// the build interned, so it is reported as uncached.
     fn run_with(&self, oracle: &Oracle<'_>, fresh: bool) -> Result<QueryOutcome> {
+        if self.bound.is_some() && !matches!(self.target, Target::Beta(_)) {
+            return Err(Error::Invalid(
+                "bounded queries require a single-object β target".into(),
+            ));
+        }
         let sink = self.sink.as_deref().or_else(|| oracle.sink_ref());
-        let partition_cached = !fresh && oracle.phi_interned(&self.phi);
         let fresh_compile = fresh && oracle.stats().compiles > 0;
         let start = Instant::now();
+        // The one Sat(φ) lookup this query makes; whether it hit is the
+        // report's partition attribution.
+        let (codes, hit) = oracle.sat_codes_at(&self.phi, sink)?;
+        let part = || SatPartition::from_codes(oracle.system().universe(), &codes, &self.a);
         let limits = &self.limits;
         let (answer, counters) = match (&self.target, self.bound) {
             (Target::Beta(beta), Some(max_len)) => {
-                let witness =
-                    oracle.depends_bounded(&self.phi, &self.a, *beta, max_len, limits, sink)?;
+                let witness = oracle.depends_bounded(&part(), *beta, max_len, limits)?;
                 (QueryAnswer::Depends(witness), None)
             }
-            (_, Some(_)) => {
-                return Err(Error::Invalid(
-                    "bounded queries require a single-object β target".into(),
-                ))
-            }
             (Target::Beta(beta), None) => {
-                let part = oracle.partition(&self.phi, &self.a, sink)?;
-                let (witness, counters) = oracle.depends_partition(&part, [*beta], limits, sink)?;
-                (QueryAnswer::Depends(witness), Some(counters))
-            }
-            (Target::Set(b), None) => {
-                let part = oracle.partition(&self.phi, &self.a, sink)?;
                 let (witness, counters) =
-                    oracle.depends_partition(&part, b.iter(), limits, sink)?;
+                    oracle.depends_partition(&part(), [*beta], limits, sink)?;
                 (QueryAnswer::Depends(witness), Some(counters))
             }
-            (Target::Sinks, None) => {
-                let part = oracle.partition(&self.phi, &self.a, sink)?;
-                let (set, counters) = oracle.sinks_partition(&part, limits, sink)?;
+            (Target::Set(b), _) => {
+                let (witness, counters) =
+                    oracle.depends_partition(&part(), b.iter(), limits, sink)?;
+                (QueryAnswer::Depends(witness), Some(counters))
+            }
+            (Target::Sinks, _) => {
+                let (set, counters) = oracle.sinks_partition(&part(), limits, sink)?;
                 (QueryAnswer::Sinks(set), Some(counters))
             }
-            (Target::Matrix(sources), None) => {
-                let (rows, counters) = oracle.sinks_matrix(&self.phi, sources, limits, sink)?;
+            (Target::Matrix(sources), _) => {
+                let (rows, counters) = oracle.sinks_matrix(&codes, sources, limits, sink)?;
                 (QueryAnswer::Matrix(rows), Some(counters))
             }
         };
@@ -440,7 +442,7 @@ impl Query {
             visited_pairs: counters.visited_pairs,
             pair_expansions: counters.expansions,
             levels: counters.levels,
-            partition_cached,
+            partition_cached: hit && !fresh,
             fresh_compile,
             rows_reused: counters.rows_reused,
             rows_materialized: counters.rows_materialized,
@@ -508,6 +510,69 @@ mod tests {
         let warm = Query::new(Phi::True, a).beta(beta).run(&oracle).unwrap();
         assert!(warm.report.partition_cached);
         assert!(warm.report.pair_expansions > 0);
+    }
+
+    /// Racing queries on a φ no one has asked yet: each report's
+    /// attribution is the lookup that served it, so it agrees with the
+    /// partition event on the query's own sink even when several queries
+    /// enumerate Sat(φ) at once. Every round releases the threads on a
+    /// fresh φ together, so some query's lookup lands while another's
+    /// enumeration is still running.
+    #[test]
+    fn racing_reports_match_their_partition_events() {
+        use crate::expr::Expr;
+        let sys = examples::flag_copy_system(6).unwrap();
+        let u = sys.universe();
+        let (x, alpha) = (u.obj("x").unwrap(), u.obj("alpha").unwrap());
+        let a = ObjSet::singleton(alpha);
+        let beta = u.obj("beta").unwrap();
+        let phis: Vec<Phi> = (0..6)
+            .flat_map(|i| (0..6).map(move |j| (i, j)))
+            .map(|(i, j)| {
+                Phi::expr(
+                    Expr::var(x)
+                        .eq(Expr::int(i))
+                        .or(Expr::var(alpha).eq(Expr::int(j))),
+                )
+            })
+            .collect();
+        let oracle = Oracle::new(&sys).unwrap();
+        let barrier = std::sync::Barrier::new(4);
+        // (partition_cached, hit events, miss events) per query; asserted
+        // after the join so a failure cannot strand threads at the barrier.
+        let seen: Vec<(bool, usize, usize)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut seen = Vec::new();
+                        for phi in &phis {
+                            let sink = Arc::new(RecordingSink::new());
+                            barrier.wait();
+                            let out = Query::new(phi.clone(), a.clone())
+                                .beta(beta)
+                                .sink(sink.clone())
+                                .run(&oracle)
+                                .unwrap();
+                            seen.push((
+                                out.report.partition_cached,
+                                sink.count(|e| matches!(e, QueryEvent::PartitionHit { .. })),
+                                sink.count(|e| matches!(e, QueryEvent::PartitionMiss { .. })),
+                            ));
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        for (cached, hits, misses) in seen {
+            assert_eq!(hits + misses, 1);
+            assert_eq!(cached, hits == 1);
+        }
+        assert_eq!(oracle.stats().interned_phis, phis.len() as u64);
     }
 
     #[test]

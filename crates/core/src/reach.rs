@@ -532,18 +532,6 @@ pub(crate) fn compiled_search(
     Ok(None)
 }
 
-/// State spaces at or above this size cannot use packed `u64` pair keys;
-/// [`Engine::Auto`] falls back to the interpreted engine there.
-pub(crate) const MAX_COMPILED_STATES: u64 = u32::MAX as u64;
-
-pub(crate) fn wants_interpreter(engine: Engine, ns: u64) -> bool {
-    match engine {
-        Engine::Interpreted => true,
-        Engine::Auto => ns >= MAX_COMPILED_STATES,
-        Engine::CompiledDense | Engine::CompiledSparse => false,
-    }
-}
-
 /// When Sat(φ) is at most `1/AUTO_SPARSE_SAT_RATIO` of the state space,
 /// [`Engine::Auto`] prefers lazy sparse tables even if dense tables fit
 /// the budget: a thin satisfying slice usually means the pair search

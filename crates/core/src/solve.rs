@@ -55,7 +55,7 @@ pub fn unique_maximal_independent_solution(
 ) -> Result<Phi> {
     let sys = oracle.system();
     let n = sys.state_count()?;
-    let partition = oracle.partition(&Phi::True, sources, oracle.sink_ref())?;
+    let partition = oracle.partition(&Phi::True, sources)?;
     let classes = partition.classes();
     // Initial pairs never cross cylinders, so each class is decided by
     // its own single-class search; the sweep is embarrassingly parallel.

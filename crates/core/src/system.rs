@@ -17,34 +17,17 @@ use crate::universe::{Universe, DEFAULT_ENUM_LIMIT};
 pub struct System {
     universe: Universe,
     ops: Vec<Op>,
-    enum_limit: u128,
 }
 
 impl System {
     /// Creates a system from a universe and operations.
     pub fn new(universe: Universe, ops: Vec<Op>) -> System {
-        System {
-            universe,
-            ops,
-            enum_limit: DEFAULT_ENUM_LIMIT,
-        }
-    }
-
-    /// Overrides the enumeration limit used by exhaustive procedures.
-    #[must_use]
-    pub fn with_enum_limit(mut self, limit: u128) -> System {
-        self.enum_limit = limit;
-        self
+        System { universe, ops }
     }
 
     /// The object universe.
     pub fn universe(&self) -> &Universe {
         &self.universe
-    }
-
-    /// The configured enumeration limit.
-    pub fn enum_limit(&self) -> u128 {
-        self.enum_limit
     }
 
     /// Number of operations.
@@ -87,15 +70,17 @@ impl System {
         Ok(cur)
     }
 
-    /// Iterates every state, after checking the enumeration limit.
+    /// Iterates every state, after checking the enumeration limit
+    /// ([`DEFAULT_ENUM_LIMIT`]).
     pub fn states(&self) -> Result<StateIter<'_>> {
-        self.universe.checked_state_count(self.enum_limit)?;
+        self.state_count()?;
         Ok(StateIter::new(&self.universe))
     }
 
-    /// Number of states, checked against the enumeration limit.
+    /// Number of states, checked against the enumeration limit
+    /// ([`DEFAULT_ENUM_LIMIT`]).
     pub fn state_count(&self) -> Result<u64> {
-        self.universe.checked_state_count(self.enum_limit)
+        self.universe.checked_state_count(DEFAULT_ENUM_LIMIT)
     }
 
     /// Checks that every operation is total on the state space: applying any
@@ -189,8 +174,12 @@ mod tests {
 
     #[test]
     fn enum_limit_is_enforced() {
-        let sys = copy_system().with_enum_limit(3);
+        // 1000 · 1000 · 2 · 1000 = 2·10⁹ states, above the 2²⁶ limit.
+        let sys = crate::examples::flag_copy_system(1000).unwrap();
         assert!(sys.states().is_err());
-        assert!(sys.state_count().is_err());
+        assert!(matches!(
+            sys.state_count(),
+            Err(Error::StateSpaceTooLarge { .. })
+        ));
     }
 }

@@ -48,7 +48,7 @@ pub mod wire;
 pub use crate::cache::{CacheStats, ResultCache};
 pub use crate::client::{Client, ClientError};
 pub use crate::metrics::{
-    Method, MetricsSink, Phase, RequestObs, RequestTrace, ScrapeGauges, ServerMetrics, SlowEntry,
+    Method, Phase, RequestObs, RequestTrace, ScrapeGauges, ServerMetrics, SlowEntry,
 };
 pub use crate::proto::{
     ErrorKind, Frame, QueryKind, QueryReq, Request, ResponseFrame, SystemDesc, WireError, MAX_FRAME,

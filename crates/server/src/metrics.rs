@@ -1,21 +1,21 @@
 //! Server observability: metric families, per-request phase tracing,
 //! and the slow-query ring.
 //!
-//! Everything here is fed from two directions:
-//!
-//! - **The request loop** times each request's six phases through a
-//!   [`RequestTrace`] (parse → cache-lookup → registry/compile → search
-//!   → serialize → write) and hands the finished trace to
-//!   [`ServerMetrics::observe_request`], which updates the per-method /
-//!   per-outcome counters, the cold/warm latency histograms, the
-//!   per-phase time accumulators, and the rolled-up
-//!   [`QueryReport`] cost counters — and captures a [`SlowEntry`] when
-//!   the request ran past the configured threshold.
-//! - **The telemetry stream**: a [`MetricsSink`] wraps the Oracle-side
-//!   [`Sink`] so compile events ([`QueryEvent::CompileFinish`]),
-//!   `Sat(φ)` partition hits/misses, and sparse-row memo traffic roll
-//!   up into server-level counters while still forwarding to any
-//!   user-configured sink (`--telemetry`).
+//! Everything here is fed from one place: the request loop times each
+//! request's six phases through a [`RequestTrace`] (parse →
+//! cache-lookup → registry/compile → search → serialize → write) and
+//! hands the finished trace to [`ServerMetrics::observe_request`], which
+//! updates the per-method / per-outcome counters, the cold/warm latency
+//! histograms, the per-phase time accumulators, and the counters rolled
+//! up from the request's [`QueryReport`] (search costs, engine, the
+//! `Sat(φ)` partition hit or miss) — and captures a [`SlowEntry`] when
+//! the request ran past the configured threshold. The report is the one
+//! record of a query's Oracle work, so each fact is counted once; a
+//! search that fails (timeout, budget) reports nothing and counts only
+//! as a request. A successful registration compiles exactly once, so its
+//! compiles are `sd_request_duration_ns_count{method="register",
+//! cold="true"}` and their time is inside the `register` `compile`
+//! phase. Oracle telemetry events go straight to the `--telemetry` sink.
 //!
 //! All hot-path state is lock-free ([`sd_core::metrics`]): sharded
 //! counters and fixed-bucket log-scale histograms, no floats, no locks
@@ -28,13 +28,13 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Instant, SystemTime};
 
-use sd_core::{Counter, Histogram, HistogramSnapshot, JsonBuf, QueryEvent, QueryReport, Sink};
+use sd_core::{Counter, Histogram, HistogramSnapshot, JsonBuf, QueryReport};
 
 use crate::cache::CacheStats;
-use crate::proto::ErrorKind;
+use crate::proto::{put_id, ErrorKind};
 
 /// Protocol methods, as metric label values. `Unknown` covers frames
 /// that never parsed far enough to have a method.
@@ -260,10 +260,7 @@ impl SlowEntry {
             .u64_field("seq", self.seq)
             .u64_field("unix_ms", self.unix_ms)
             .str_field("method", self.method.as_str());
-        match self.id {
-            Some(id) => j.u64_field("id", id),
-            None => j.null_field("id"),
-        };
+        put_id(&mut j, self.id);
         match self.system {
             Some(k) => j.u64_field("system", k),
             None => j.null_field("system"),
@@ -394,14 +391,9 @@ pub struct ServerMetrics {
     rows_materialized: Vec<Counter>,
     /// Searches per engine kind.
     engine_runs: Vec<Counter>,
-    // Oracle-side rollups fed by the telemetry sink. The memo-row
-    // counters include searches that failed, which report no costs.
+    /// Sat(φ) lookups served from / missing the Oracle intern cache.
     partition_hits: Counter,
     partition_misses: Counter,
-    memo_rows_reused: Counter,
-    memo_rows_materialized: Counter,
-    compiles: Counter,
-    compile_ns: Counter,
     /// Access-log lines dropped rather than blocking the request path.
     access_dropped: Counter,
     slow: SlowLog,
@@ -430,10 +422,6 @@ impl ServerMetrics {
             engine_runs: counters(ENGINES.len()),
             partition_hits: Counter::new(),
             partition_misses: Counter::new(),
-            memo_rows_reused: Counter::new(),
-            memo_rows_materialized: Counter::new(),
-            compiles: Counter::new(),
-            compile_ns: Counter::new(),
             access_dropped: Counter::new(),
             slow: SlowLog::new(slowlog_cap),
         }
@@ -471,6 +459,15 @@ impl ServerMetrics {
             self.rows_reused[m].add(r.rows_reused);
             self.rows_materialized[m].add(r.rows_materialized);
             self.engine_runs[engine_idx(r.engine)].inc();
+            // A "none" report answered without a Sat(φ) lookup.
+            if r.engine != "none" {
+                let part = if r.partition_cached {
+                    &self.partition_hits
+                } else {
+                    &self.partition_misses
+                };
+                part.inc();
+            }
         }
         if total_ns >= self.slow_ns {
             let unix_ms = SystemTime::now()
@@ -807,23 +804,11 @@ const FAMILIES: &[Family] = &[
         help: "Searches run, by engine kind.",
         read: |m, _, i| Value::Num(m.engine_runs[i[0]].get()) },
     Family { kind: Kind::Counter, name: "sd_partition_hits_total", json: "oracle.partition_hits", dims: &[],
-        help: "Sat(phi) enumerations served from the Oracle intern cache.",
+        help: "Served searches whose Sat(phi) enumeration came from the Oracle intern cache.",
         read: |m, _, _| Value::Num(m.partition_hits.get()) },
     Family { kind: Kind::Counter, name: "sd_partition_misses_total", json: "oracle.partition_misses", dims: &[],
-        help: "Sat(phi) enumerations computed fresh.",
+        help: "Served searches that enumerated Sat(phi) fresh.",
         read: |m, _, _| Value::Num(m.partition_misses.get()) },
-    Family { kind: Kind::Counter, name: "sd_oracle_memo_rows_reused_total", json: "oracle.memo_rows_reused", dims: &[],
-        help: "Sparse successor rows served from the memo, failed searches included.",
-        read: |m, _, _| Value::Num(m.memo_rows_reused.get()) },
-    Family { kind: Kind::Counter, name: "sd_oracle_memo_rows_materialized_total", json: "oracle.memo_rows_materialized", dims: &[],
-        help: "Sparse successor rows interpreted, failed searches included.",
-        read: |m, _, _| Value::Num(m.memo_rows_materialized.get()) },
-    Family { kind: Kind::Counter, name: "sd_compiles_total", json: "oracle.compiles", dims: &[],
-        help: "Successor-table compiles.",
-        read: |m, _, _| Value::Num(m.compiles.get()) },
-    Family { kind: Kind::Counter, name: "sd_compile_ns_total", json: "oracle.compile_ns", dims: &[],
-        help: "Nanoseconds spent compiling successor tables.",
-        read: |m, _, _| Value::Num(m.compile_ns.get()) },
     Family { kind: Kind::Counter, name: "sd_cache_hits_total", json: "cache.hits", dims: &[],
         help: "Result-cache hits.",
         read: |_, g, _| Value::Num(g.cache.hits) },
@@ -883,44 +868,6 @@ const FAMILIES: &[Family] = &[
         read: |m, _, _| Value::Num(u64::from(m.enabled)) },
 ];
 
-/// A [`Sink`] that rolls Oracle telemetry into server metric families
-/// and forwards every event to an optional inner sink (`--telemetry`).
-pub struct MetricsSink {
-    metrics: Arc<ServerMetrics>,
-    inner: Option<Arc<dyn Sink>>,
-}
-
-impl MetricsSink {
-    /// Wraps `metrics`, chaining to `inner` when present.
-    pub fn new(metrics: Arc<ServerMetrics>, inner: Option<Arc<dyn Sink>>) -> MetricsSink {
-        MetricsSink { metrics, inner }
-    }
-}
-
-impl Sink for MetricsSink {
-    fn record(&self, event: &QueryEvent) {
-        match *event {
-            QueryEvent::CompileFinish { wall_ns, .. } => {
-                self.metrics.compiles.inc();
-                self.metrics.compile_ns.add(wall_ns);
-            }
-            QueryEvent::PartitionHit { .. } => self.metrics.partition_hits.inc(),
-            QueryEvent::PartitionMiss { .. } => self.metrics.partition_misses.inc(),
-            QueryEvent::MemoRows {
-                reused,
-                materialized,
-            } => {
-                self.metrics.memo_rows_reused.add(reused);
-                self.metrics.memo_rows_materialized.add(materialized);
-            }
-            _ => {}
-        }
-        if let Some(inner) = &self.inner {
-            inner.record(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -942,18 +889,32 @@ mod tests {
             rows_reused: 0,
             rows_materialized: 0,
         };
-        let obs = RequestObs {
-            method: Method::Depends,
-            cold: true,
-            report: Some(&report),
-            ..RequestObs::default()
+        let cached = QueryReport {
+            partition_cached: true,
+            ..report
         };
-        assert!(m.observe_request(&obs, &trace).is_none());
-        assert_eq!(m.requests_total(Method::Depends, None), 1);
+        let none = QueryReport {
+            engine: "none",
+            pair_expansions: 0,
+            ..report
+        };
+        for (report, cold) in [(&report, true), (&cached, false), (&none, false)] {
+            let obs = RequestObs {
+                method: Method::Depends,
+                cold,
+                report: Some(report),
+                ..RequestObs::default()
+            };
+            assert!(m.observe_request(&obs, &trace).is_none());
+        }
+        assert_eq!(m.requests_total(Method::Depends, None), 3);
         assert_eq!(m.duration_snapshot(Method::Depends, true).count, 1);
-        assert_eq!(m.duration_snapshot(Method::Depends, false).count, 0);
-        assert_eq!(m.pair_expansions[Method::Depends.idx()].get(), 40);
-        assert_eq!(m.engine_runs[1].get(), 1);
+        assert_eq!(m.duration_snapshot(Method::Depends, false).count, 2);
+        assert_eq!(m.pair_expansions[Method::Depends.idx()].get(), 80);
+        assert_eq!(m.engine_runs[1].get(), 2);
+        // One lookup hit and one missed; the "none" report made none.
+        assert_eq!(m.partition_hits.get(), 1);
+        assert_eq!(m.partition_misses.get(), 1);
     }
 
     #[test]
@@ -1118,9 +1079,6 @@ mod tests {
             };
             m.observe_request(&obs, &trace);
         }
-        m.partition_hits.inc();
-        m.memo_rows_reused.add(7);
-        m.compiles.inc();
         let g = ScrapeGauges {
             connections_total: 3,
             inflight: 1,
@@ -1183,7 +1141,7 @@ mod tests {
         let mut leaves = Vec::new();
         json_leaves(&json, String::new(), &mut leaves);
         assert!(leaves.contains(&"durations.depends.cold.p95_ns".to_string()));
-        assert!(leaves.contains(&"oracle.memo_rows_reused".to_string()));
+        assert!(leaves.contains(&"oracle.partition_hits".to_string()));
         for leaf in leaves {
             assert!(
                 covered.contains(&leaf),
@@ -1196,27 +1154,5 @@ mod tests {
             first.and_then(|s| s.get("system")).and_then(|k| k.as_u64()),
             Some(42)
         );
-    }
-
-    #[test]
-    fn metrics_sink_rolls_up_compile_and_partition_events() {
-        let m = Arc::new(ServerMetrics::new(true, 1_000_000, 8));
-        let sink = MetricsSink::new(Arc::clone(&m), None);
-        sink.record(&QueryEvent::CompileFinish {
-            kind: "compiled-dense",
-            wall_ns: 1234,
-        });
-        sink.record(&QueryEvent::PartitionMiss { states: 4 });
-        sink.record(&QueryEvent::PartitionHit { states: 4 });
-        sink.record(&QueryEvent::MemoRows {
-            reused: 5,
-            materialized: 2,
-        });
-        assert_eq!(m.compiles.get(), 1);
-        assert_eq!(m.compile_ns.get(), 1234);
-        assert_eq!(m.partition_hits.get(), 1);
-        assert_eq!(m.partition_misses.get(), 1);
-        assert_eq!(m.memo_rows_reused.get(), 5);
-        assert_eq!(m.memo_rows_materialized.get(), 2);
     }
 }

@@ -529,7 +529,8 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
     Ok(Frame { id, req })
 }
 
-fn put_id(j: &mut JsonBuf, id: Option<u64>) {
+/// Writes the `id` field: the correlation id, or `null` when absent.
+pub(crate) fn put_id(j: &mut JsonBuf, id: Option<u64>) {
     match id {
         Some(id) => j.u64_field("id", id),
         None => j.null_field("id"),

@@ -22,9 +22,10 @@
 //! finished trace plus the request's outcome feed
 //! [`ServerMetrics::observe_request`], which maintains the counter and
 //! histogram families the `metrics` method scrapes and captures
-//! requests slower than `--slow-ms` into the `slowlog` ring. Oracle
-//! telemetry (compiles, partition cache traffic, memo rows) rolls up
-//! through a [`MetricsSink`] wrapped around any user-provided sink.
+//! requests slower than `--slow-ms` into the `slowlog` ring. Each
+//! query's Oracle work (search costs, the Sat(φ) partition hit or miss)
+//! is counted from its `QueryReport` there; Oracle telemetry events go
+//! only to the `--telemetry` sink, when one is configured.
 //!
 //! The access log never blocks a request on a slow or broken writer:
 //! lines are serialised outside the lock, the lock is held only for the
@@ -55,10 +56,8 @@ use sd_core::{CompileBudget, JsonBuf, QueryReport, Sink};
 
 use crate::cache::ResultCache;
 use crate::engine;
-use crate::metrics::{
-    Method, MetricsSink, Phase, RequestObs, RequestTrace, ScrapeGauges, ServerMetrics,
-};
-use crate::proto::{self, ErrorKind, QueryReq, Request, WireError, MAX_FRAME};
+use crate::metrics::{Method, Phase, RequestObs, RequestTrace, ScrapeGauges, ServerMetrics};
+use crate::proto::{self, put_id, ErrorKind, QueryReq, Request, WireError, MAX_FRAME};
 use crate::registry::{Registry, SystemEntry};
 
 /// Server tuning knobs. [`Config::default`] is suitable for tests and
@@ -268,10 +267,7 @@ impl Shared {
         let Some(access) = &self.access else { return };
         let mut j = JsonBuf::new();
         j.begin_obj().str_field("event", "request");
-        match id {
-            Some(id) => j.u64_field("id", id),
-            None => j.null_field("id"),
-        };
+        put_id(&mut j, id);
         j.str_field("method", done.method.as_str());
         match done.outcome {
             None => {
@@ -324,15 +320,8 @@ impl ServeHandle {
             cfg.slow_ms,
             cfg.slowlog_cap,
         ));
-        // Wrap any user sink so Oracle telemetry (compiles, partition
-        // traffic, memo rows) also rolls up into the metric families.
-        let sink: Option<Arc<dyn Sink>> = if cfg.metrics {
-            Some(Arc::new(MetricsSink::new(Arc::clone(&metrics), cfg.sink)))
-        } else {
-            cfg.sink
-        };
         let shared = Arc::new(Shared {
-            registry: Registry::new(cfg.registry_cap, cfg.budget, sink),
+            registry: Registry::new(cfg.registry_cap, cfg.budget, cfg.sink),
             cache: ResultCache::new(cfg.cache_cap),
             metrics,
             access: cfg.access_log.map(Mutex::new),
@@ -468,13 +457,6 @@ fn read_bounded_line(
 fn write_line(writer: &mut TcpStream, response: &mut String) -> std::io::Result<()> {
     response.push('\n');
     writer.write_all(response.as_bytes())
-}
-
-fn put_id(j: &mut JsonBuf, id: Option<u64>) {
-    match id {
-        Some(id) => j.u64_field("id", id),
-        None => j.null_field("id"),
-    };
 }
 
 fn flag_response(id: Option<u64>, flag: &str) -> String {

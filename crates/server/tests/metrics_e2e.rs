@@ -128,7 +128,7 @@ fn known_mix_produces_exact_counters_histograms_and_slowlog() {
     );
     assert_eq!(u64_at(&scraped, &["cache", "hits"]), Some(2));
     assert_eq!(u64_at(&scraped, &["registry", "systems"]), Some(1));
-    assert_eq!(u64_at(&scraped, &["oracle", "compiles"]), Some(1));
+    assert_eq!(u64_at(&scraped, &["oracle", "partition_misses"]), Some(1));
     assert!(u64_at(&scraped, &["durations", "depends", "cold", "p50_ns"]).unwrap() > 0);
     // The paths the sdbench harness reads stay where it looks for them.
     for path in [
@@ -170,7 +170,7 @@ fn known_mix_produces_exact_counters_histograms_and_slowlog() {
         r#"sd_request_duration_ns_count{method="depends",cold="false"} 2"#,
         r#"sd_request_duration_ns_count{method="depends",cold="true"} 1"#,
         "sd_cache_hits_total 2",
-        "sd_compiles_total 1",
+        "sd_partition_misses_total 1",
         "sd_registry_systems 1",
         "sd_slow_queries_total",
         "# TYPE sd_request_duration_ns histogram",

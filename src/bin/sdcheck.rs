@@ -156,19 +156,15 @@ fn analyze(args: &[String]) -> Result<ExitCode, String> {
         None => println!("NO FLOW: ¬{from} ▷φ {to} — no history transmits information."),
     }
 
-    // Floyd proof attempt when assertions were supplied.
+    // Floyd proof attempt when assertions were supplied; assertions that
+    // are not an inductive cover (Def 6-2) come back as inapplicable.
     if have_assertions && witness.is_none() {
-        let legal = floyd::verify_assertions(&compiled, &ann).map_err(|e| e.to_string())?;
-        if !legal {
-            println!("note: the supplied assertions are not an inductive cover (Def 6-2).");
-        } else {
-            match floyd::prove_no_flow(&compiled, &ann, &from, &to).map_err(|e| e.to_string())? {
-                strong_dependency::core::certificate::ProofOutcome::Proved(cert) => {
-                    println!("\nFloyd-cover proof (Theorem 6-7):\n{cert}");
-                }
-                strong_dependency::core::certificate::ProofOutcome::Inapplicable(r) => {
-                    println!("note: Floyd-cover proof inapplicable: {r}");
-                }
+        match floyd::prove_no_flow(&compiled, &ann, &from, &to).map_err(|e| e.to_string())? {
+            strong_dependency::core::certificate::ProofOutcome::Proved(cert) => {
+                println!("\nFloyd-cover proof (Theorem 6-7):\n{cert}");
+            }
+            strong_dependency::core::certificate::ProofOutcome::Inapplicable(r) => {
+                println!("note: Floyd-cover proof inapplicable: {r}");
             }
         }
     }
@@ -510,7 +506,7 @@ fn do_client(args: &[String]) -> Result<ExitCode, String> {
                 ("cache hits", &["cache", "hits"][..]),
                 ("cache misses", &["cache", "misses"][..]),
                 ("cache entries", &["cache", "entries"][..]),
-                ("oracle compiles", &["oracle", "compiles"][..]),
+                ("partition misses", &["oracle", "partition_misses"][..]),
                 ("partition hits", &["oracle", "partition_hits"][..]),
                 ("slow queries", &["slowlog", "captured"][..]),
                 ("access log dropped", &["access_log_dropped"][..]),
